@@ -184,6 +184,8 @@ def sweep(
     jobs: int = 1,
 ) -> SweepReport:
     """Run every cell for `trials` seeded instances; deterministic for any jobs."""
+    if trials < 1:
+        raise ValueError(f"a sweep needs at least one trial, got {trials}")
     rows = []
     for cell in cells:
         results: list[tuple[int, float, int]] = []
@@ -197,9 +199,9 @@ def sweep(
                     results.extend(part)
         results.sort(key=lambda r: r[0])
         ratios = [r[1] for r in results]
-        max_ratio = max(ratios) if ratios else 1.0
-        argmax_seed = next((s for _, r, s in results if r == max_ratio), seed)
-        mean_ratio = (sum(ratios) / len(ratios)) if ratios else 1.0
+        max_ratio = max(ratios)
+        argmax_seed = next(s for _, r, s in results if r == max_ratio)
+        mean_ratio = sum(ratios) / len(ratios)
         rows.append(
             SweepRow(
                 variant=cell.variant,

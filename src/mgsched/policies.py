@@ -1,27 +1,31 @@
 """Online policies (MG, EDF_alpha, Greedy) and the discrete-time simulator.
 
-MG recomputes the optimal provisional schedule each step and sends the first
+MG reads the optimal provisional schedule at each step and sends the first
 packet f in canonical order with v_f >= max(v_h / alpha, beta * v_e), where e
 is the schedule's first packet and h its first highest-value packet; if
 v_e >= v_h / alpha it sends e outright.  EDF_alpha works on the raw buffer,
 Greedy is MG with alpha = beta = 1.
+
+The simulator is event-driven: it keeps one IncrementalSchedule up to date
+through arrivals, sends, expiries and time steps, and jumps over idle gaps.
+The trace stores only the steps that send; the idle rows are synthesized.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .model import UNBOUNDED, Instance, Packet, require_valid
 from .provisional import (
-    EmptyScheduleError,
+    IncrementalSchedule,
     ProvisionalSchedule,
     canonical_key,
-    optimal_provisional_schedule,
-    select_e_h,
+    e_h_of_heads,
 )
+from .provisional import optimal_provisional_schedule  # noqa: F401  (re-exported; callers look it up here)
 
 
 class PolicyKind(str, Enum):
@@ -80,27 +84,47 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    steps: tuple[StepRecord, ...]
+    sends: tuple[StepRecord, ...]  # the steps that sent a packet, in time order
     total_value: float
     dropped_expired: tuple[int, ...]
 
+    def iter_steps(self) -> Iterator[StepRecord]:
+        """Every step from t = 1 to the last send; a step between sends is idle."""
+        t = 1
+        for s in self.sends:
+            for idle in range(t, s.t):
+                yield StepRecord(idle, None, 0.0, 0, 0.0)
+            yield s
+            t = s.t + 1
+
+    @property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """The per-step trace, with the idle rows synthesized on each call."""
+        return tuple(self.iter_steps())
+
     @property
     def sent_ids(self) -> tuple[int, ...]:
-        return tuple(s.sent_id for s in self.steps if s.sent_id is not None)
+        return tuple(s.sent_id for s in self.sends)
 
     @property
     def sent_count(self) -> int:
-        return sum(1 for s in self.steps if s.sent_id is not None)
+        return len(self.sends)
 
 
-def mg_select(s: ProvisionalSchedule, params: PolicyParams) -> Packet:
-    """Apply the MG send rule to a non-empty provisional schedule."""
-    e, h = select_e_h(s)
+def mg_select(s: ProvisionalSchedule | IncrementalSchedule, params: PolicyParams) -> Packet:
+    """Apply the MG send rule to a non-empty provisional schedule.
+
+    Within a deadline the first packet has the highest value, so e, h and the
+    first packet past the threshold are all first packets of their deadline:
+    the rule reads only `s.group_heads()`.
+    """
+    heads = s.group_heads()
+    e, h = e_h_of_heads(heads)
     h_over_alpha = 0.0 if params.alpha == UNBOUNDED else h.value / params.alpha
     if e.value >= h_over_alpha:
         return e
     threshold = max(h_over_alpha, params.beta * e.value)
-    for p, _ in s.entries:
+    for p in heads:
         if p.value >= threshold:
             return p
     # alpha >= beta guarantees h itself qualifies.
@@ -136,77 +160,78 @@ def simulate(
     inst: Instance,
     params: PolicyParams,
     check_slack_value_property: bool = False,
+    *,
+    validate: bool = True,
 ) -> SimulationTrace:
-    """Run one policy over an instance and record the per-step trace.
+    """Run one policy over an instance and record the steps that send.
 
-    Each step t: admit arrivals with release == t, drop packets whose bounded
-    deadline has passed, then (buffer permitting) compute the optimal
-    provisional schedule and send the selector's packet.  Work-conserving and
-    fully deterministic.  With `check_slack_value_property` the schedule is
-    asserted value-nonincreasing in canonical order each step, raising
+    Each step t: admit arrivals with release == t, then (buffer permitting)
+    send the selector's packet, then let unsendable packets expire.  The
+    optimal provisional schedule is one IncrementalSchedule, updated per
+    event, never rebuilt; while the buffer is empty the run jumps to the next
+    release, so the cost follows the packet count, not the release span.
+    Work-conserving and fully deterministic.  `validate=False` skips the
+    instance check, for callers that have just made it.
+
+    With `check_slack_value_property` the schedule is asserted
+    value-nonincreasing in canonical order each step, raising
     SlackValuePropertyError otherwise.  That order is the premise under which
     MG(inf, 1) is exact.  Anti-agreeable deadline/value instances always keep
     it; anti-agreeable slack/value instances can break it (see the
     slack/value counterexample in the policy tests).
     """
-    require_valid(inst)
+    if validate:
+        require_valid(inst)
     arrivals: dict[int, list[Packet]] = {}
     for p in inst.packets:
         arrivals.setdefault(p.release, []).append(p)
-    for group in arrivals.values():
-        group.sort(key=lambda p: p.id)
+    releases = sorted(arrivals, reverse=True)  # the next release is last
 
     horizon = inst.horizon()
-    buffer: list[Packet] = []
-    steps: list[StepRecord] = []
+    schedule = IncrementalSchedule(1)
+    sends: list[StepRecord] = []
     dropped: list[int] = []
     total = 0.0
-    remaining_arrivals = len(inst.packets)
 
     t = 1
     while t <= horizon:
-        for p in arrivals.get(t, ()):
-            buffer.append(p)
-            remaining_arrivals -= 1
-        if buffer:
-            kept = [p for p in buffer if p.deadline >= t]
-            if len(kept) != len(buffer):
-                dropped.extend(sorted(p.id for p in buffer if p.deadline < t))
-                buffer = kept
-        if not buffer and remaining_arrivals == 0:
-            break
-        if not buffer:
-            steps.append(StepRecord(t, None, 0.0, 0, 0.0))
-            t += 1
+        if releases and releases[-1] == t:
+            for p in arrivals[releases.pop()]:
+                schedule.insert(p)
+        if not schedule.pending_count:
+            if not releases:
+                break
+            t = releases[-1]  # jump the idle gap; SimulationTrace fills in its rows
+            schedule = IncrementalSchedule(t)
             continue
 
-        schedule = optimal_provisional_schedule(buffer, t)
         if check_slack_value_property:
-            values = [p.value for p, _ in schedule.entries]
+            values = schedule.values
             if any(a < b for a, b in zip(values, values[1:])):
                 raise SlackValuePropertyError(f"value order broken at t={t}")
 
         if params.kind is PolicyKind.MG:
             chosen = mg_select(schedule, params)
         elif params.kind is PolicyKind.EDF_ALPHA:
-            chosen = edf_alpha_select(buffer, t, params.alpha)
+            chosen = edf_alpha_select(schedule.pending(), t, params.alpha)
         else:
-            chosen = greedy_select(buffer, t)
+            chosen = greedy_select(schedule.pending(), t)
 
-        buffer.remove(chosen)
+        sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
         total += chosen.value
-        steps.append(StepRecord(t, chosen.id, chosen.value, len(buffer) + 1, schedule.total_value))
+        schedule.remove(chosen)
+        dropped.extend(schedule.advance())
         t += 1
 
-    dropped.extend(sorted(p.id for p in buffer))  # anything still stuck past horizon
-    return SimulationTrace(tuple(steps), total, tuple(dropped))
+    dropped.extend(sorted(p.id for p in schedule.pending()))  # anything still stuck past horizon
+    return SimulationTrace(tuple(sends), total, tuple(dropped))
 
 
 def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
-    """JSON-lines trace: one record per step, then a summary line."""
+    """JSON-lines trace: one record per step, idle ones included, then a summary line."""
     import json
 
-    for s in trace.steps:
+    for s in trace.iter_steps():
         fp.write(
             json.dumps(
                 {

@@ -103,6 +103,13 @@ def test_sweep_smoke_and_report_shapes():
     assert "general" in report.to_table()
 
 
+def test_sweep_rejects_empty_runs():
+    cells = [SweepCell("general", PolicyParams.mg(PHI, PHI), n=12)]
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            sweep(cells, trials=trials, seed=3)
+
+
 def test_sweep_argmax_seed_reproduces_max():
     from mgsched.generators import GenSpec, generate
     from mgsched.offline import empirical_ratio

@@ -146,3 +146,10 @@ def test_validation_exit_on_bad_instance_file(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": 0, "release": 1, "deadline": 0, "value": 1.0}\n')
     assert main(["run", "--in", str(bad)]) == EXIT_VALIDATION
+
+
+def test_sweep_rejects_zero_trials(capsys):
+    assert main(["sweep", "--trials", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials" in captured.err

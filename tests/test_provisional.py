@@ -4,13 +4,14 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_best_pending_value, mk
 from mgsched.model import UNBOUNDED, Packet
 from mgsched.provisional import (
     EmptyScheduleError,
+    IncrementalSchedule,
     feasible,
     optimal_provisional_schedule,
     select_e_h,
@@ -127,3 +128,55 @@ def test_adding_packet_never_decreases_value():
         ]
         base = optimal_provisional_schedule(pending[:-1], t).total_value
         assert optimal_provisional_schedule(pending, t).total_value >= base
+
+
+# One event of a random buffer history: (kind, deadline offset, value, pick).
+# Offset 6 stands for UNBOUNDED; three values make equal values common.
+_event = st.tuples(
+    st.sampled_from(["arrive", "arrive", "arrive", "send", "discard", "step"]),
+    st.integers(0, 6),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5), st.lists(_event, max_size=80))
+def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
+    t = start
+    schedule = IncrementalSchedule(t)
+    pending: list[Packet] = []
+    for pid, (kind, offset, value, pick) in enumerate(events):
+        if kind == "arrive":
+            p = Packet(pid, t, UNBOUNDED if offset == 6 else t + offset, float(value))
+            schedule.insert(p)
+            pending.append(p)
+        elif kind == "send" and pending:  # a scheduled packet leaves
+            scheduled = schedule.snapshot().packets
+            p = scheduled[pick % len(scheduled)]
+            schedule.remove(p)
+            pending.remove(p)
+        elif kind == "discard" and pending:  # any pending packet leaves, rejected ones too
+            p = pending[pick % len(pending)]
+            schedule.remove(p)
+            pending.remove(p)
+        elif kind == "step":
+            expired = schedule.advance()
+            t += 1
+            assert expired == sorted(p.id for p in pending if p.deadline < t)
+            pending = [p for p in pending if p.deadline >= t]
+        want = optimal_provisional_schedule(pending, t)
+        assert schedule.time == t
+        assert schedule.snapshot() == want
+        assert schedule.values == [p.value for p in want.packets]
+        assert schedule.total_value == want.total_value
+        assert schedule.group_heads() == want.group_heads()
+        assert schedule.pending_count == len(pending)
+        assert sorted(p.id for p in schedule.pending()) == sorted(p.id for p in pending)
+
+
+def test_group_heads_are_first_packet_of_each_deadline():
+    pending = [mk(0, 1, 2, 1.0), mk(1, 1, 2, 3.0), mk(2, 1, 4, 2.0), mk(3, 1, UNBOUNDED, 1.0), mk(4, 1, UNBOUNDED, 5.0)]
+    s = optimal_provisional_schedule(pending, 1)
+    assert [p.id for p in s.group_heads()] == [1, 2, 4]
+    assert optimal_provisional_schedule([], 1).group_heads() == []
