@@ -16,9 +16,19 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .generators import GenSpec, generate
-from .model import PHI, UNBOUNDED
+from .model import (
+    ALL_VARIANTS,
+    PHI,
+    UNBOUNDED,
+    VARIANT_AGREEABLE_DEADLINE,
+    VARIANT_AGREEABLE_DEADLINE_VALUE,
+    VARIANT_AGREEABLE_SLACK_VALUE,
+    VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE,
+    VARIANT_ANTI_AGREEABLE_SLACK_VALUE,
+    VARIANT_ANTI_AGREEABLE_VALUE,
+)
 from .offline import empirical_ratio
-from .policies import PolicyKind, PolicyParams
+from .policies import PolicyParams
 
 
 class PremiseError(ValueError):
@@ -221,17 +231,6 @@ def table1_cells(n: int = 40, max_slack: int = 8) -> list[SweepCell]:
     """One representative policy cell per variant: the parameterization whose
     bound the sweep probes (phi-style settings where those apply, the
     earliest-deadline limit where the policy is value-optimal)."""
-    from .model import (
-        CONSTRAINED_VARIANTS,
-        VARIANT_AGREEABLE_DEADLINE,
-        VARIANT_AGREEABLE_DEADLINE_VALUE,
-        VARIANT_AGREEABLE_SLACK_VALUE,
-        VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE,
-        VARIANT_ANTI_AGREEABLE_SLACK_VALUE,
-        VARIANT_ANTI_AGREEABLE_VALUE,
-        VARIANT_GENERAL,
-    )
-
     phi_cells = {
         VARIANT_AGREEABLE_DEADLINE: PolicyParams.mg(PHI, PHI),
         VARIANT_AGREEABLE_DEADLINE_VALUE: PolicyParams.mg(PHI**2, PHI**2),
@@ -241,7 +240,4 @@ def table1_cells(n: int = 40, max_slack: int = 8) -> list[SweepCell]:
         VARIANT_ANTI_AGREEABLE_SLACK_VALUE: PolicyParams.mg(UNBOUNDED, 1.0),
     }
     default = PolicyParams.mg(PHI, PHI)
-    cells = [SweepCell(VARIANT_GENERAL, phi_cells.get(VARIANT_GENERAL, default), n, max_slack)]
-    for variant in CONSTRAINED_VARIANTS:
-        cells.append(SweepCell(variant, phi_cells.get(variant, default), n, max_slack))
-    return cells
+    return [SweepCell(variant, phi_cells.get(variant, default), n, max_slack) for variant in ALL_VARIANTS]

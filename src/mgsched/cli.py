@@ -31,7 +31,7 @@ from .model import (
     load_instance,
 )
 from .offline import RATIO_CSV_HEADER, empirical_ratio, offline_optimal, ratio_csv_row
-from .policies import PolicyKind, PolicyParams, dump_trace, simulate
+from .policies import PolicyParams, dump_trace, simulate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,19 +63,22 @@ def parse_alpha(text: str) -> float:
         raise _UsageError(f"bad alpha/beta value: {text!r}") from exc
 
 
+POLICY_CHOICES = ("mg", "edf", "greedy")  # greedy is MG(1, 1)
+
+
 def _policy_from_args(args) -> PolicyParams:
-    kind = PolicyKind(args.policy)
+    """The policy of `--policy`, `--alpha` and `--beta`; no `--policy` means MG."""
     alpha = parse_alpha(args.alpha)
     beta = parse_alpha(args.beta)
-    if kind is PolicyKind.GREEDY:
-        return PolicyParams.greedy()
-    if kind is PolicyKind.EDF_ALPHA:
+    if args.policy == "greedy":  # --alpha and --beta are parsed but do not apply
+        return PolicyParams.mg(1.0, 1.0)
+    if args.policy == "edf":
         return PolicyParams.edf(alpha)
     return PolicyParams.mg(alpha, beta)
 
 
 def _add_policy_flags(sub) -> None:
-    sub.add_argument("--policy", choices=[k.value for k in PolicyKind], default="mg")
+    sub.add_argument("--policy", choices=POLICY_CHOICES, default="mg")
     sub.add_argument("--alpha", default="1", help="float, or inf / phi / phi2")
     sub.add_argument("--beta", default="1", help="float, or phi / phi2")
 
@@ -115,7 +118,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--n", type=int, default=40)
     sw.add_argument("--max-slack", type=int, default=8)
-    sw.add_argument("--policy", choices=[k.value for k in PolicyKind], default=None)
+    sw.add_argument("--policy", choices=POLICY_CHOICES, default=None)
     sw.add_argument("--alpha", default="phi")
     sw.add_argument("--beta", default="phi")
     sw.add_argument("--jobs", type=int, default=1)
@@ -203,14 +206,7 @@ def _cmd_sweep(args) -> int:
         for name in names:
             if name not in ALL_VARIANTS:
                 raise _UsageError(f"unknown variant {name!r}")
-        kind = PolicyKind(args.policy or "mg")
-        alpha, beta = parse_alpha(args.alpha), parse_alpha(args.beta)
-        if kind is PolicyKind.GREEDY:
-            params = PolicyParams.greedy()
-        elif kind is PolicyKind.EDF_ALPHA:
-            params = PolicyParams.edf(alpha)
-        else:
-            params = PolicyParams.mg(alpha, beta)
+        params = _policy_from_args(args)
         cells = [SweepCell(name, params, args.n, args.max_slack) for name in names]
     report = sweep(cells, trials=args.trials, seed=args.seed, jobs=args.jobs)
     if args.csv_out:
@@ -224,6 +220,10 @@ def _cmd_chaincheck(args) -> int:
     alpha = parse_alpha(args.alpha)
     if alpha <= 1 or alpha == UNBOUNDED:
         raise _UsageError("chaincheck requires a finite alpha > 1")
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.k_max < 1:
+        raise _UsageError(f"--k-max must be at least 1, got {args.k_max}")
     violations = 0
     for trial in range(args.trials):
         rng = Random(derive_seed(args.seed, "chain", trial))

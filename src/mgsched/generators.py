@@ -293,7 +293,12 @@ def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
 
 
 def lb_ratio_formula(k: int) -> float:
-    """Closed-form epsilon-free ratio of the adversarial family; tends to 2."""
+    """Closed form that OPT/ALG on generate_lower_bound(k) approaches; tends to 2.
+
+    It is not the family's measured ratio at any given k: MG(phi, phi) on
+    generate_lower_bound(1) gives OPT/ALG = phi, against 1.5802 here, and at
+    k = 8 it gives 1.9181, against 1.9376.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     x = (2.0 / PHI) ** k

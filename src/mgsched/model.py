@@ -63,9 +63,6 @@ class Packet:
     def has_bounded_deadline(self) -> bool:
         return self.deadline != UNBOUNDED
 
-    def alive_at(self, t: int) -> bool:
-        return self.release <= t <= self.deadline
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -239,13 +236,28 @@ def packet_to_obj(p: Packet) -> dict:
 
 
 def packet_from_obj(obj: dict) -> Packet:
-    deadline = obj["deadline"]
-    return Packet(
-        id=int(obj["id"]),
-        release=int(obj["release"]),
-        deadline=UNBOUNDED if deadline is None else int(deadline),
-        value=float(obj["value"]),
-    )
+    """The packet of one JSON object, which must hold integer id, release and
+    deadline (null for UNBOUNDED) and a numeric value.  Nothing is truncated or
+    coerced; a missing or mistyped field raises ValueError.  Range rules are
+    left to validate_instance."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a packet must be a JSON object, got {obj!r}")
+    try:
+        pid, release, deadline, value = obj["id"], obj["release"], obj["deadline"], obj["value"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    # Exact type tests: JSON true is a bool, which must not pass as 1.
+    if type(pid) is not int:
+        raise ValueError(f"id must be an integer, got {pid!r}")
+    if type(release) is not int:
+        raise ValueError(f"release must be an integer, got {release!r}")
+    if deadline is None:
+        deadline = UNBOUNDED
+    elif type(deadline) is not int:
+        raise ValueError(f"deadline must be an integer or null, got {deadline!r}")
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"value must be a number, got {value!r}")
+    return Packet(pid, release, deadline, float(value))
 
 
 def dump_instance(inst: Instance, fp: IO[str]) -> None:
@@ -264,17 +276,23 @@ def dumps_instance(inst: Instance) -> str:
 
 
 def load_instance(fp: IO[str]) -> Instance:
+    """Read a JSON-lines instance; a bad line raises ValueError naming its number."""
     meta: dict | None = None
     packets: list[Packet] = []
-    for line in fp:
+    for lineno, line in enumerate(fp, 1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        if "meta" in obj and "id" not in obj:
-            meta = obj["meta"]
-        else:
-            packets.append(packet_from_obj(obj))
+        try:
+            obj = json.loads(line)
+            if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
+                meta = obj["meta"]
+                if not isinstance(meta, dict):
+                    raise ValueError(f"meta must be a JSON object, got {meta!r}")
+            else:
+                packets.append(packet_from_obj(obj))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return Instance(tuple(packets), meta)
 
 

@@ -1,10 +1,11 @@
-"""Online policies (MG, EDF_alpha, Greedy) and the discrete-time simulator.
+"""Online policies (MG, EDF_alpha) and the discrete-time simulator.
 
 MG reads the optimal provisional schedule at each step and sends the first
 packet f in canonical order with v_f >= max(v_h / alpha, beta * v_e), where e
 is the schedule's first packet and h its first highest-value packet; if
-v_e >= v_h / alpha it sends e outright.  EDF_alpha works on the raw buffer,
-Greedy is MG with alpha = beta = 1.
+v_e >= v_h / alpha it sends e outright.  EDF_alpha works on the raw buffer.
+Greedy (send a highest-value pending packet) is MG(1, 1), so it has no
+selector of its own: `mgsched --policy greedy` is an alias of that setting.
 
 The simulator is event-driven: it keeps one IncrementalSchedule up to date
 through arrivals, sends, expiries and time steps, and jumps over idle gaps.
@@ -31,7 +32,6 @@ from .provisional import optimal_provisional_schedule  # noqa: F401  (re-exporte
 class PolicyKind(str, Enum):
     MG = "mg"
     EDF_ALPHA = "edf"
-    GREEDY = "greedy"
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,6 @@ class PolicyParams:
             raise ValueError(f"beta must be a finite real >= 1, got {self.beta}")
         if self.kind is PolicyKind.MG and self.beta > self.alpha:
             raise ValueError(f"MG requires beta <= alpha, got beta={self.beta} > alpha={self.alpha}")
-        if self.kind is PolicyKind.GREEDY and (self.alpha != 1 or self.beta != 1):
-            raise ValueError("greedy is MG with alpha = beta = 1")
 
     @classmethod
     def mg(cls, alpha: float, beta: float = 1.0) -> "PolicyParams":
@@ -59,10 +57,6 @@ class PolicyParams:
     @classmethod
     def edf(cls, alpha: float) -> "PolicyParams":
         return cls(PolicyKind.EDF_ALPHA, alpha, 1.0)
-
-    @classmethod
-    def greedy(cls) -> "PolicyParams":
-        return cls(PolicyKind.GREEDY, 1.0, 1.0)
 
     def describe(self) -> str:
         a = "inf" if self.alpha == UNBOUNDED else repr(self.alpha)
@@ -145,24 +139,7 @@ def edf_alpha_select(pending: Sequence[Packet], t: int, alpha: float) -> Packet:
     return min(eligible, key=canonical_key)
 
 
-def greedy_select(pending: Sequence[Packet], t: int) -> Packet:
-    """Maximum-value pending packet; ties by earlier deadline, then id."""
-    if not pending:
-        raise EmptyBufferError(f"no pending packets at t={t}")
-    return min(pending, key=lambda p: (-p.value, p.deadline, p.id))
-
-
-class SlackValuePropertyError(AssertionError):
-    """A provisional schedule was not value-nonincreasing in canonical order."""
-
-
-def simulate(
-    inst: Instance,
-    params: PolicyParams,
-    check_slack_value_property: bool = False,
-    *,
-    validate: bool = True,
-) -> SimulationTrace:
+def simulate(inst: Instance, params: PolicyParams, *, validate: bool = True) -> SimulationTrace:
     """Run one policy over an instance and record the steps that send.
 
     Each step t: admit arrivals with release == t, then (buffer permitting)
@@ -173,12 +150,10 @@ def simulate(
     Work-conserving and fully deterministic.  `validate=False` skips the
     instance check, for callers that have just made it.
 
-    With `check_slack_value_property` the schedule is asserted
-    value-nonincreasing in canonical order each step, raising
-    SlackValuePropertyError otherwise.  That order is the premise under which
-    MG(inf, 1) is exact.  Anti-agreeable deadline/value instances always keep
-    it; anti-agreeable slack/value instances can break it (see the
-    slack/value counterexample in the policy tests).
+    The run ends when the buffer is empty and nothing is left to release, so
+    every packet is either sent or in `dropped_expired`.  No bound on t is
+    needed: past the last deadline nothing is alive, and a buffer still busy
+    after max release + n steps would have sent more than n packets.
     """
     if validate:
         require_valid(inst)
@@ -187,35 +162,25 @@ def simulate(
         arrivals.setdefault(p.release, []).append(p)
     releases = sorted(arrivals, reverse=True)  # the next release is last
 
-    horizon = inst.horizon()
     schedule = IncrementalSchedule(1)
     sends: list[StepRecord] = []
     dropped: list[int] = []
     total = 0.0
 
     t = 1
-    while t <= horizon:
+    while releases or schedule.pending_count:
         if releases and releases[-1] == t:
             for p in arrivals[releases.pop()]:
                 schedule.insert(p)
         if not schedule.pending_count:
-            if not releases:
-                break
             t = releases[-1]  # jump the idle gap; SimulationTrace fills in its rows
             schedule = IncrementalSchedule(t)
             continue
 
-        if check_slack_value_property:
-            values = schedule.values
-            if any(a < b for a, b in zip(values, values[1:])):
-                raise SlackValuePropertyError(f"value order broken at t={t}")
-
         if params.kind is PolicyKind.MG:
             chosen = mg_select(schedule, params)
-        elif params.kind is PolicyKind.EDF_ALPHA:
-            chosen = edf_alpha_select(schedule.pending(), t, params.alpha)
         else:
-            chosen = greedy_select(schedule.pending(), t)
+            chosen = edf_alpha_select(schedule.pending(), t, params.alpha)
 
         sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
         total += chosen.value
@@ -223,7 +188,6 @@ def simulate(
         dropped.extend(schedule.advance())
         t += 1
 
-    dropped.extend(sorted(p.id for p in schedule.pending()))  # anything still stuck past horizon
     return SimulationTrace(tuple(sends), total, tuple(dropped))
 
 

@@ -99,11 +99,6 @@ def optimal_provisional_schedule(pending: Sequence[Packet], t: int) -> Provision
     return ProvisionalSchedule(t, tuple((p, t + i) for i, p in enumerate(accepted)))
 
 
-def select_e_h(s: ProvisionalSchedule | IncrementalSchedule) -> tuple[Packet, Packet]:
-    """First packet e and first highest-value packet h, in canonical order."""
-    return e_h_of_heads(s.group_heads())
-
-
 def e_h_of_heads(heads: Sequence[Packet]) -> tuple[Packet, Packet]:
     """e and h from a schedule's group heads.  A deadline's first packet has
     its highest value, so h is the first head of the highest value."""

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 from mgsched.model import UNBOUNDED, Instance, Packet
+from mgsched.policies import SimulationTrace
+from mgsched.provisional import optimal_provisional_schedule
 
 
 def mk(pid: int, release: int, deadline: float, value: float) -> Packet:
@@ -23,6 +25,25 @@ def brute_best_pending_value(pending, t: int) -> float:
         if all(d >= t + i for i, d in enumerate(deadlines)):
             best = max(best, sum(p.value for p in subset))
     return best
+
+
+def value_order_held(inst: Instance, trace: SimulationTrace) -> bool:
+    """Whether the optimal provisional schedule, rebuilt from scratch at every
+    send of `trace`, was value-nonincreasing in canonical order each time.
+
+    That order is the premise under which MG(inf, 1) is exact.  Anti-agreeable
+    deadline/value instances always keep it; anti-agreeable slack/value
+    instances can break it.  Idle steps have an empty buffer, so only the
+    sends need checking.
+    """
+    sent: set[int] = set()
+    for step in trace.sends:
+        pending = [p for p in inst.packets if p.release <= step.t <= p.deadline and p.id not in sent]
+        values = [p.value for p in optimal_provisional_schedule(pending, step.t).packets]
+        if any(a < b for a, b in zip(values, values[1:])):
+            return False
+        sent.add(step.sent_id)
+    return True
 
 
 def naive_pairwise_flags(inst: Instance) -> dict[str, bool]:

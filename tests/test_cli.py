@@ -72,15 +72,20 @@ def test_run_on_lb_sends_only_unbounded_packets(tmp_path, capsys):
 
 
 def test_run_greedy_equals_mg11(tmp_path, capsys):
+    # --policy greedy is an alias of MG(1, 1): same stdout, whatever --alpha/--beta say
     inst = tmp_path / "g.jsonl"
     main(["gen", "--variant", "general", "--n", "40", "--seed", "17", "--out", str(inst)])
     capsys.readouterr()
-    main(["run", "--in", str(inst), "--policy", "greedy"])
-    greedy_out = capsys.readouterr().out
-    main(["run", "--in", str(inst), "--policy", "mg", "--alpha", "1", "--beta", "1"])
-    mg_out = capsys.readouterr().out
-    line = next(l for l in greedy_out.splitlines() if l.startswith("totalValue"))
-    assert line in mg_out
+    for args in (
+        ["run", "--in", str(inst)],
+        ["ratio", "--in", str(inst)],
+        ["sweep", "--variants", "general,agreeable-value", "--trials", "5", "--n", "8"],
+    ):
+        assert main(args + ["--policy", "greedy", "--alpha", "3", "--beta", "2"]) == EXIT_OK
+        greedy_out = capsys.readouterr().out
+        assert main(args + ["--policy", "mg", "--alpha", "1", "--beta", "1"]) == EXIT_OK
+        assert greedy_out == capsys.readouterr().out
+        assert "greedy" not in greedy_out
 
 
 def test_run_empty_instance(tmp_path, capsys):
@@ -140,12 +145,34 @@ def test_exit_codes():
     assert main(["run", "--in", "/nonexistent/path.jsonl"]) == EXIT_IO
     assert main(["gen", "--variant", "general", "--n", "-3", "--out", "/tmp/x.jsonl"]) == EXIT_VALIDATION
     assert main(["ratio", "--in", "/nonexistent.jsonl"]) == EXIT_IO
+    assert main(["chaincheck", "--trials", "0"]) == EXIT_USAGE
+    assert main(["chaincheck", "--k-max", "0"]) == EXIT_USAGE
 
 
-def test_validation_exit_on_bad_instance_file(tmp_path):
+def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": 0, "release": 1, "deadline": 0, "value": 1.0}\n')
     assert main(["run", "--in", str(bad)]) == EXIT_VALIDATION
+    # rejected by the loader, never truncated or coerced; the message names the line
+    good = '{"id": 0, "release": 1, "deadline": 3, "value": 1.0}\n'
+    for line, expect in (
+        ('{"id": 1, "release": 1, "value": 1.0}', "missing field 'deadline'"),
+        ("[1, 2]", "JSON object"),
+        ('{"id": 1, "release": 1.7, "deadline": 3, "value": 1.0}', "release must be an integer"),
+        ('{"id": 1, "release": 1, "deadline": 3.5, "value": 1.0}', "deadline must be an integer or null"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": true}', "value must be a number"),
+        ('{"id": 1, "release": "2", "deadline": 3, "value": 1.0}', "release must be an integer"),
+        ('{"id": "1", "release": 1, "deadline": 3, "value": 1.0}', "id must be an integer"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": "2"}', "value must be a number"),
+        ("{not json", "line 2"),
+        ('{"meta": 5}', "meta must be a JSON object"),
+    ):
+        bad.write_text(good + line + "\n")
+        capsys.readouterr()
+        for command in ("run", "opt", "ratio"):
+            assert main([command, "--in", str(bad)]) == EXIT_VALIDATION, line
+            err = capsys.readouterr().err
+            assert "line 2" in err and expect in err, err
 
 
 def test_sweep_rejects_zero_trials(capsys):

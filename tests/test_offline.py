@@ -78,7 +78,7 @@ def test_opt_dominates_every_policy():
     for _ in range(60):
         inst = generate(GenSpec("general", rng.randint(1, 25), seed=rng.getrandbits(48)))
         opt = offline_optimal(inst).total_value
-        for params in (PolicyParams.greedy(), PolicyParams.mg(1.5, 1.25), PolicyParams.edf(2.0)):
+        for params in (PolicyParams.mg(1.0, 1.0), PolicyParams.mg(1.5, 1.25), PolicyParams.edf(2.0)):
             assert opt >= simulate(inst, params).total_value - 1e-12
 
 
@@ -108,7 +108,7 @@ def test_ratio_report_conventions():
 
 def test_empirical_ratio_trivial_and_bounded_below():
     inst = inst_of(mk(0, 1, 1, 4.0))
-    report = empirical_ratio(inst, PolicyParams.greedy())
+    report = empirical_ratio(inst, PolicyParams.mg(1.0, 1.0))
     assert report.ratio == 1.0
     rng = Random(10)
     for _ in range(40):

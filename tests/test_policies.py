@@ -5,20 +5,18 @@ from random import Random
 
 import pytest
 
-from conftest import inst_of, mk
+from conftest import inst_of, mk, value_order_held
 from mgsched.model import PHI, UNBOUNDED, Instance, Packet
 from mgsched.offline import brute_force_optimal
 from mgsched.policies import (
     EmptyBufferError,
     PolicyKind,
     PolicyParams,
-    SlackValuePropertyError,
     edf_alpha_select,
-    greedy_select,
     mg_select,
     simulate,
 )
-from mgsched.provisional import optimal_provisional_schedule
+from mgsched.provisional import EmptyScheduleError, optimal_provisional_schedule
 
 
 def _schedule(*packets):
@@ -30,8 +28,6 @@ def test_params_validation():
         PolicyParams.mg(1.0, 1.5)  # beta > alpha
     with pytest.raises(ValueError):
         PolicyParams(PolicyKind.MG, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        PolicyParams(PolicyKind.GREEDY, 2.0, 1.0)
     assert PolicyParams.mg(UNBOUNDED, 3.0).alpha == UNBOUNDED
 
 
@@ -83,16 +79,17 @@ def test_edf_singleton_and_empty():
 
 
 def test_greedy_examples():
-    assert greedy_select([mk(0, 1, 9, 5.0), mk(1, 1, 1, 3.0)], 1).id == 0
-    assert greedy_select([mk(0, 1, 9, 5.0), mk(1, 1, 1, 5.0)], 1).id == 1  # tie: earlier deadline
-    assert greedy_select([mk(0, 1, 9, 5.0)], 1).id == 0
-    with pytest.raises(EmptyBufferError):
-        greedy_select([], 1)
+    greedy = PolicyParams.mg(1.0, 1.0)  # Greedy: a highest-value packet
+    assert mg_select(_schedule(mk(0, 1, 9, 5.0), mk(1, 1, 1, 3.0)), greedy).id == 0
+    assert mg_select(_schedule(mk(0, 1, 9, 5.0), mk(1, 1, 1, 5.0)), greedy).id == 1  # tie: earlier deadline
+    assert mg_select(_schedule(mk(0, 1, 9, 5.0)), greedy).id == 0
+    with pytest.raises(EmptyScheduleError):
+        mg_select(_schedule(), greedy)
 
 
 def test_simulate_single_packet_any_policy():
     inst = inst_of(mk(0, 1, 1, 4.0))
-    for params in (PolicyParams.greedy(), PolicyParams.mg(PHI, PHI), PolicyParams.edf(2.0)):
+    for params in (PolicyParams.mg(1.0, 1.0), PolicyParams.mg(PHI, PHI), PolicyParams.edf(2.0)):
         trace = simulate(inst, params)
         assert trace.total_value == 4.0
         assert trace.sent_ids == (0,)
@@ -159,20 +156,6 @@ def test_simulate_unbounded_alpha_sends_schedule_head():
             pending.remove(head)
 
 
-def test_greedy_equals_mg11_in_value():
-    rng = Random(33)
-    for _ in range(50):
-        packets = tuple(
-            Packet(i, rng.randint(1, 8), rng.randint(1, 8) + rng.randint(0, 6), rng.randint(1, 64) / 8.0)
-            for i in range(rng.randint(1, 14))
-        )
-        packets = tuple(Packet(p.id, p.release, max(p.release, p.deadline), p.value) for p in packets)
-        inst = Instance(packets)
-        a = simulate(inst, PolicyParams.greedy()).total_value
-        b = simulate(inst, PolicyParams.mg(1.0, 1.0)).total_value
-        assert a == b
-
-
 # A valid anti-agreeable slack/value instance on which the claimed schedule
 # property (deadline order implies nonincreasing value) fails, and with it
 # the exact-optimality of the earliest-deadline parameterization.  A packet
@@ -193,8 +176,8 @@ def test_slack_value_property_violation_is_detected():
     from mgsched.model import classify_variants
 
     assert classify_variants(SLACK_VALUE_COUNTEREXAMPLE).anti_agreeable_slack_value
-    with pytest.raises(SlackValuePropertyError):
-        simulate(SLACK_VALUE_COUNTEREXAMPLE, PolicyParams.mg(UNBOUNDED, 1.0), check_slack_value_property=True)
+    trace = simulate(SLACK_VALUE_COUNTEREXAMPLE, PolicyParams.mg(UNBOUNDED, 1.0))
+    assert not value_order_held(SLACK_VALUE_COUNTEREXAMPLE, trace)
 
 
 def test_slack_value_exactness_counterexample():

@@ -12,9 +12,9 @@ from mgsched.model import UNBOUNDED, Packet
 from mgsched.provisional import (
     EmptyScheduleError,
     IncrementalSchedule,
+    e_h_of_heads,
     feasible,
     optimal_provisional_schedule,
-    select_e_h,
 )
 
 
@@ -53,22 +53,22 @@ def test_optimal_empty_pending():
 def test_select_e_h_example():
     entries = [mk(0, 1, 2, 1.0), mk(1, 1, 3, 7.0), mk(2, 1, 9, 7.0)]
     s = optimal_provisional_schedule(entries, 1)
-    e, h = select_e_h(s)
+    e, h = e_h_of_heads(s.group_heads())
     assert e.id == 0
     assert h.id == 1  # first of the two value-7 packets in canonical order
 
 
 def test_select_e_h_singleton_and_uniform():
     s = optimal_provisional_schedule([mk(0, 1, 4, 2.0)], 1)
-    assert select_e_h(s) == (s.entries[0][0], s.entries[0][0])
+    assert e_h_of_heads(s.group_heads()) == (s.entries[0][0], s.entries[0][0])
     s = optimal_provisional_schedule([mk(0, 1, 2, 3.0), mk(1, 1, 5, 3.0)], 1)
-    e, h = select_e_h(s)
+    e, h = e_h_of_heads(s.group_heads())
     assert e is h
 
 
 def test_select_e_h_empty_raises():
     with pytest.raises(EmptyScheduleError):
-        select_e_h(optimal_provisional_schedule([], 1))
+        e_h_of_heads(optimal_provisional_schedule([], 1).group_heads())
 
 
 def test_unbounded_deadlines_sort_last_by_value_then_id():

@@ -18,7 +18,6 @@ from mgsched.policies import (
     StepRecord,
     dump_trace,
     edf_alpha_select,
-    greedy_select,
     simulate,
 )
 from mgsched.provisional import IncrementalSchedule, optimal_provisional_schedule
@@ -30,7 +29,7 @@ POLICIES = (
     PolicyParams.mg(2.0, 1.25),
     PolicyParams.edf(2.0),
     PolicyParams.edf(UNBOUNDED),
-    PolicyParams.greedy(),
+    PolicyParams.mg(1.0, 1.0),  # Greedy
 )
 
 
@@ -71,10 +70,8 @@ def reference_steps(inst: Instance, params: PolicyParams):
         schedule = optimal_provisional_schedule(buffer, t)
         if params.kind is PolicyKind.MG:
             chosen = _mg_reference(schedule.packets, params)
-        elif params.kind is PolicyKind.EDF_ALPHA:
-            chosen = edf_alpha_select(buffer, t, params.alpha)
         else:
-            chosen = greedy_select(buffer, t)
+            chosen = edf_alpha_select(buffer, t, params.alpha)
         steps.append(StepRecord(t, chosen.id, chosen.value, len(buffer), schedule.total_value))
         buffer.remove(chosen)
         total += chosen.value
