@@ -115,6 +115,10 @@ class SweepCell:
     n: int = 40
     max_slack: int = 8
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a sweep cell needs n >= 1 packets per trial, got n={self.n}")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -211,7 +215,12 @@ def sweep(
         ratios = [r[1] for r in results]
         max_ratio = max(ratios)
         argmax_seed = next(s for _, r, s in results if r == max_ratio)
-        mean_ratio = sum(ratios) / len(ratios)
+        # A plain loop, not sum(): from Python 3.12 on, sum() of floats is
+        # compensated, so the mean (and the sweep CSV) would differ by version.
+        total = 0.0
+        for r in ratios:
+            total += r
+        mean_ratio = total / len(ratios)
         rows.append(
             SweepRow(
                 variant=cell.variant,

@@ -89,15 +89,6 @@ class Instance:
         """
         return self.max_release + len(self.packets)
 
-    def horizon(self) -> int:
-        """Last step at which any packet can still be alive, capped losslessly."""
-        if not self.packets:
-            return 0
-        cap = self.slot_cap()
-        if any(not p.has_bounded_deadline for p in self.packets):
-            return cap
-        return min(int(max(p.deadline for p in self.packets)), cap)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -8,13 +8,20 @@ by decreasing value, then by id for full determinism.
 optimal_provisional_schedule rebuilds the schedule from scratch and is the
 reference oracle; IncrementalSchedule keeps the same schedule up to date as
 packets arrive, leave and time advances, and is what the simulator uses.
+
+Packets with the same deadline lie in the same feasibility constraints, so the
+schedule keeps a prefix of each deadline's pending packets taken in (-value,
+id) order.  IncrementalSchedule therefore stores, per distinct pending
+deadline, those packets in that order and the length of the scheduled prefix;
+an event costs O(G) for G distinct pending deadlines.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Sequence
 
 from .model import UNBOUNDED, Packet
 
@@ -55,11 +62,9 @@ def canonical_key(p: Packet) -> tuple[float, float, int]:
     return (p.deadline, -p.value, p.id)
 
 
-def feasible(packets: Iterable[Packet], t: int) -> bool:
-    """Slot-feasibility of a set at time t: after sorting by deadline, the
-    i-th packet (1-indexed) must satisfy deadline >= t + i - 1."""
-    deadlines = sorted(p.deadline for p in packets)
-    return all(d >= t + i for i, d in enumerate(deadlines))
+def _priority(p: Packet) -> tuple[float, float, int]:
+    """The greedy's strict order: higher value first, then earlier deadline, then id."""
+    return (-p.value, p.deadline, p.id)
 
 
 def _latest_free(parent: list[int], s: int) -> int:
@@ -89,7 +94,7 @@ def optimal_provisional_schedule(pending: Sequence[Packet], t: int) -> Provision
     # Slot indices 0..n-1 stand for t..t+n-1; index n is the "no slot" root.
     parent = list(range(n + 1))
     accepted: list[Packet] = []
-    for p in sorted(pending, key=lambda p: (-p.value, p.deadline, p.id)):
+    for p in sorted(pending, key=_priority):
         limit = n - 1 if p.deadline == UNBOUNDED else min(int(p.deadline) - t, n - 1)
         slot = _latest_free(parent, limit + 1) - 1  # parent[i+1] tracks slot i
         if slot >= 0:
@@ -117,186 +122,137 @@ class IncrementalSchedule:
     optimal_provisional_schedule(pending, time).  A deadline d is tight when
     exactly d - time + 1 scheduled packets have deadline <= d.
 
-    - insert: a packet closes a circuit iff some deadline D >= its own is
-      tight.  The circuit is the newcomer plus every scheduled packet with
-      deadline <= the first such D; its lowest-priority member is rejected.
+    Packets with the same deadline lie in exactly the same constraints, so
+    the greedy schedules a prefix of each deadline's pending packets taken in
+    (-value, id) order: once it rejects one, it rejects every later one.  The
+    store is therefore one list per distinct pending deadline, in that order,
+    with a count of its scheduled prefix.
+
+    - insert: a packet behind a rejected packet of its own deadline is
+      rejected.  Otherwise it closes a circuit iff some deadline D >= its own
+      is tight; the circuit is the newcomer plus every scheduled packet with
+      deadline <= the first such D, and its lowest member is rejected.
     - remove: deleting a scheduled packet unties every deadline from its own
       on.  The best rejected packet with a deadline past the last tight
       deadline below it then fits, and takes the freed place.
     - advance: time t -> t+1 inserts a top-priority phantom with deadline t,
       then rejected packets past their deadline expire.
 
-    Only bounded deadlines are ever tight, a deadline's last packet is its
-    lowest and its first packet its highest, so an event looks at one packet
-    per distinct bounded deadline: O(G log B) for G such deadlines and B
-    pending packets, plus the list shifts.  Packets must be alive at `time`.
+    A deadline's last scheduled packet is its lowest and its first rejected
+    packet its best; rejecting one or re-admitting one moves a count by one.
+    So an event costs O(G) for G distinct pending deadlines, plus a bisection
+    and a list shift within the packet's own deadline.  Packets must be alive
+    at `time`.
     """
 
     def __init__(self, time: int):
         self.time = time
-        # The schedule in canonical order, as parallel lists.
-        self._keys: list[tuple[float, float, int]] = []
+        self.pending_count = 0  # pending packets, scheduled or rejected
+        # Per distinct pending deadline, ascending (UNBOUNDED last): its
+        # packets in (-value, id) order, their values, and how many of them,
+        # from the front, are scheduled.
         self._deadlines: list[float] = []
-        self._values: list[float] = []
-        self._packets: list[Packet] = []
-        self._groups: list[float] = []  # distinct bounded deadlines scheduled, ascending
-        # Rejected packets by deadline, each list sorted by (-value, id).
-        self._rejected: dict[float, list[tuple[float, int, Packet]]] = {}
-        self._rejected_deadlines: list[float] = []  # sorted keys of _rejected
-        self._rejected_count = 0
-
-    @property
-    def pending_count(self) -> int:
-        """Pending packets, scheduled or rejected."""
-        return len(self._packets) + self._rejected_count
-
-    @property
-    def values(self) -> list[float]:
-        """Values of the scheduled packets in canonical order (do not mutate)."""
-        return self._values
+        self._packets: list[list[Packet]] = []
+        self._values: list[list[float]] = []
+        self._counts: list[int] = []
 
     @property
     def total_value(self) -> float:
-        # Left to right in canonical order, as ProvisionalSchedule sums.
-        return sum(self._values)
+        # One sum, left to right in canonical order, as ProvisionalSchedule
+        # sums; a whole list is passed as is, which sum() walks faster.
+        values = self._values
+        if sum(self._counts) < self.pending_count:  # leave out the rejected
+            values = (v if n == len(v) else islice(v, n) for v, n in zip(values, self._counts))
+        return sum(chain.from_iterable(values))
 
     def snapshot(self) -> ProvisionalSchedule:
         """The schedule as optimal_provisional_schedule would return it."""
         t = self.time
-        return ProvisionalSchedule(t, tuple((p, t + i) for i, p in enumerate(self._packets)))
+        scheduled = chain.from_iterable(islice(g, n) for g, n in zip(self._packets, self._counts))
+        return ProvisionalSchedule(t, tuple((p, t + i) for i, p in enumerate(scheduled)))
 
     def pending(self) -> list[Packet]:
-        """Every pending packet: the scheduled ones in canonical order, then the rejected."""
-        return self._packets + [p for group in self._rejected.values() for _, _, p in group]
+        """Every pending packet, scheduled or rejected, in deadline order."""
+        return list(chain.from_iterable(self._packets))
 
     def group_heads(self) -> list[Packet]:
         """First packet of each deadline (UNBOUNDED is one deadline), in order."""
-        dl, packets = self._deadlines, self._packets
-        heads = [packets[bisect_left(dl, d)] for d in self._groups]
-        first_unbounded = bisect_left(dl, UNBOUNDED)
-        if first_unbounded < len(packets):
-            heads.append(packets[first_unbounded])
-        return heads
+        return [g[0] for g, n in zip(self._packets, self._counts) if n]
 
     def insert(self, p: Packet) -> None:
         """Add an arriving packet, rejecting the lowest of the circuit it closes."""
-        if p.deadline != UNBOUNDED:
-            tight = self._first_tight(p.deadline)
-            if tight is not None:
-                i = self._lowest_up_to(tight)
-                d, neg_value, pid = self._keys[i]
-                if (-p.value, p.deadline, p.id) > (neg_value, d, pid):
-                    self._reject(p)
-                    return
-                self._reject(self._pop(i))
-        self._place(p)
+        dl, d = self._deadlines, p.deadline
+        j = bisect_left(dl, d)
+        if j == len(dl) or dl[j] != d:
+            dl.insert(j, d)
+            self._packets.insert(j, [])
+            self._values.insert(j, [])
+            self._counts.insert(j, 0)
+        i = bisect_left(self._packets[j], _priority(p), key=_priority)
+        self._packets[j].insert(i, p)
+        self._values[j].insert(i, p.value)
+        self.pending_count += 1
+        if i > self._counts[j]:  # behind a rejected packet of its deadline
+            return
+        tight = None if d == UNBOUNDED else self._tight(j)[1]
+        self._counts[j] += 1
+        if tight is not None:
+            self._counts[self._lowest_through(tight)] -= 1
 
     def remove(self, p: Packet) -> None:
         """Delete a pending packet; a rejected one may take a freed place."""
-        key = canonical_key(p)
-        i = bisect_left(self._keys, key)
-        if i == len(self._keys) or self._keys[i] != key:
-            group = self._rejected[p.deadline]
-            group.remove((-p.value, p.id, p))
-            if not group:
-                self._drop_rejected_deadline(p.deadline)
-            self._rejected_count -= 1
-            return
-        freed_after = self._last_tight_below(p.deadline)
-        self._pop(i)
-        best = self._best_rejected_after(freed_after)
-        if best is not None:
-            self._place(best)
+        j = bisect_left(self._deadlines, p.deadline)
+        group = self._packets[j]
+        i = bisect_left(group, _priority(p), key=_priority)
+        del group[i], self._values[j][i]
+        self.pending_count -= 1
+        if i < self._counts[j]:
+            self._counts[j] -= 1
+            if sum(self._counts) < self.pending_count:  # some packet is rejected
+                best = self._best_rejected_after(self._tight(j)[0])
+                if best is not None:
+                    self._counts[best] += 1
+        if not group:
+            del self._deadlines[j], self._packets[j], self._values[j], self._counts[j]
 
     def advance(self) -> list[int]:
         """Move to the next step; return the ids of the packets that expire, sorted."""
-        tight = self._first_tight(self.time)  # the phantom, deadline = time
+        tight = self._tight(0)[1]  # the phantom, deadline = time, is due first
         if tight is not None:
-            self._reject(self._pop(self._lowest_up_to(tight)))
+            self._counts[self._lowest_through(tight)] -= 1
         self.time += 1
         # With the phantom placed, every scheduled deadline is >= time, so
-        # only rejected packets expire.
+        # only rejected packets expire, whole deadlines at a time.
         expired: list[int] = []
-        rejected_deadlines = self._rejected_deadlines
-        while rejected_deadlines and rejected_deadlines[0] < self.time:
-            expired.extend(pid for _, pid, _ in self._rejected.pop(rejected_deadlines.pop(0)))
-        self._rejected_count -= len(expired)
+        dl = self._deadlines
+        while dl and dl[0] < self.time:
+            del dl[0], self._values[0], self._counts[0]
+            expired.extend(q.id for q in self._packets.pop(0))
+        self.pending_count -= len(expired)
         expired.sort()
         return expired
 
-    def _first_tight(self, d: float) -> float | None:
-        """First tight deadline >= d, if any."""
-        groups, dl, limit = self._groups, self._deadlines, self.time - 1
-        for g in groups[bisect_left(groups, d):]:
-            if g - bisect_right(dl, g) == limit:
-                return g
-        return None
+    def _tight(self, j: int) -> tuple[int, int | None]:
+        """Indices of the last tight deadline before index j (-1 if none) and
+        of the first tight deadline from index j on (None if none)."""
+        below, used, limit = -1, 0, self.time - 1
+        for k, (d, n) in enumerate(zip(self._deadlines, self._counts)):
+            used += n
+            if used == d - limit:  # never for UNBOUNDED
+                if k >= j:
+                    return below, k
+                below = k
+        return below, None
 
-    def _last_tight_below(self, d: float) -> float:
-        """Last tight deadline < d, or time - 1 (no live packet is due by then)."""
-        groups, dl, limit = self._groups, self._deadlines, self.time - 1
-        for g in reversed(groups[: bisect_left(groups, d)]):
-            if g - bisect_right(dl, g) == limit:
-                return g
-        return limit
+    def _lowest_through(self, j: int) -> int:
+        """Index of the deadline, up to index j, holding the lowest-priority
+        scheduled packet: the last scheduled packet of some deadline."""
+        groups = zip(self._packets[: j + 1], self._counts)
+        return max((_priority(g[n - 1]), k) for k, (g, n) in enumerate(groups) if n)[1]
 
-    def _lowest_up_to(self, d: float) -> int:
-        """Index of the lowest-priority scheduled packet with deadline <= d."""
-        keys, dl = self._keys, self._deadlines
-        lowest = None
-        for g in self._groups[: bisect_right(self._groups, d)]:
-            i = bisect_right(dl, g) - 1  # the deadline's last packet is its lowest
-            _, neg_value, pid = keys[i]
-            rank = (neg_value, g, pid)
-            if lowest is None or rank > lowest:
-                lowest, at = rank, i
-        return at
-
-    def _best_rejected_after(self, d: float) -> Packet | None:
-        """Remove and return the highest-priority rejected packet with deadline > d."""
-        rejected_deadlines = self._rejected_deadlines
-        best = None
-        for g in rejected_deadlines[bisect_right(rejected_deadlines, d):]:
-            neg_value, pid, _ = self._rejected[g][0]
-            if best is None or (neg_value, g, pid) < best:
-                best = (neg_value, g, pid)
-        if best is None:
-            return None
-        g = best[1]
-        group = self._rejected[g]
-        p = group.pop(0)[2]
-        if not group:
-            self._drop_rejected_deadline(g)
-        self._rejected_count -= 1
-        return p
-
-    def _place(self, p: Packet) -> None:
-        key = canonical_key(p)
-        i = bisect_left(self._keys, key)
-        dl, d = self._deadlines, p.deadline
-        if d != UNBOUNDED and (i == len(dl) or dl[i] != d) and (i == 0 or dl[i - 1] != d):
-            insort(self._groups, d)
-        self._keys.insert(i, key)
-        dl.insert(i, d)
-        self._values.insert(i, p.value)
-        self._packets.insert(i, p)
-
-    def _pop(self, i: int) -> Packet:
-        dl = self._deadlines
-        d = dl[i]
-        del self._keys[i], dl[i], self._values[i]
-        if d != UNBOUNDED and (i == len(dl) or dl[i] != d) and (i == 0 or dl[i - 1] != d):
-            del self._groups[bisect_left(self._groups, d)]
-        return self._packets.pop(i)
-
-    def _reject(self, p: Packet) -> None:
-        group = self._rejected.get(p.deadline)
-        if group is None:
-            group = self._rejected[p.deadline] = []
-            insort(self._rejected_deadlines, p.deadline)
-        insort(group, (-p.value, p.id, p))
-        self._rejected_count += 1
-
-    def _drop_rejected_deadline(self, d: float) -> None:
-        del self._rejected[d]
-        del self._rejected_deadlines[bisect_left(self._rejected_deadlines, d)]
+    def _best_rejected_after(self, j: int) -> int | None:
+        """Index of the deadline after index j holding the highest-priority
+        rejected packet (the first rejected packet of some deadline), if any."""
+        groups = zip(self._packets[j + 1 :], self._counts[j + 1 :])
+        firsts = [(_priority(g[n]), k) for k, (g, n) in enumerate(groups, j + 1) if n < len(g)]
+        return min(firsts)[1] if firsts else None

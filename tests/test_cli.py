@@ -140,13 +140,17 @@ def test_chaincheck_reports_zero_violations(capsys):
     assert "0 violations in 2000 chains" in capsys.readouterr().out
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert main(["gen", "--badflag"]) == EXIT_USAGE
     assert main(["run", "--in", "/nonexistent/path.jsonl"]) == EXIT_IO
     assert main(["gen", "--variant", "general", "--n", "-3", "--out", "/tmp/x.jsonl"]) == EXIT_VALIDATION
     assert main(["ratio", "--in", "/nonexistent.jsonl"]) == EXIT_IO
     assert main(["chaincheck", "--trials", "0"]) == EXIT_USAGE
     assert main(["chaincheck", "--k-max", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    for variants in ("all", "general"):  # table1_cells, and one cell per named variant
+        assert main(["sweep", "--variants", variants, "--n", "0", "--trials", "1"]) == EXIT_VALIDATION
+        assert "validation error: a sweep cell needs n >= 1 packets per trial, got n=0" in capsys.readouterr().err
 
 
 def test_validation_exit_on_bad_instance_file(tmp_path, capsys):

@@ -13,22 +13,8 @@ from mgsched.provisional import (
     EmptyScheduleError,
     IncrementalSchedule,
     e_h_of_heads,
-    feasible,
     optimal_provisional_schedule,
 )
-
-
-def test_feasible_empty_set():
-    assert feasible([], 1) and feasible([], 99)
-
-
-def test_feasible_pigeonhole():
-    assert not feasible([mk(0, 1, 1, 1.0), mk(1, 1, 1, 1.0)], 1)
-
-
-def test_feasible_slot_counting():
-    assert not feasible([mk(0, 1, 1, 1), mk(1, 1, 2, 1), mk(2, 1, 2, 1)], 1)
-    assert feasible([mk(0, 1, 1, 1), mk(1, 1, 2, 1), mk(2, 1, 3, 1)], 1)
 
 
 def test_optimal_example_drops_cheap_conflicting():
@@ -118,6 +104,23 @@ def test_highest_value_packet_always_scheduled(data, t):
     assert any(p.value == top for p, _ in s.entries)
 
 
+# Few deadlines and few values, so that value ties and long per-deadline
+# lists are common.  Offset 4 stands for UNBOUNDED.
+_crowded = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=40)
+
+
+@given(_crowded, st.integers(1, 5))
+def test_each_deadline_keeps_a_prefix_in_value_order(raw, t):
+    # IncrementalSchedule stores each deadline's scheduled packets as a
+    # counted prefix of its pending packets; this is the fact that allows it.
+    pending = [Packet(i, 1, UNBOUNDED if off == 4 else t + off, float(v)) for i, (off, v) in enumerate(raw)]
+    kept = {p.id for p in optimal_provisional_schedule(pending, t).packets}
+    for d in {p.deadline for p in pending}:
+        ordered = sorted((p for p in pending if p.deadline == d), key=lambda p: (-p.value, p.id))
+        k = sum(p.id in kept for p in ordered)
+        assert [p.id in kept for p in ordered] == [True] * k + [False] * (len(ordered) - k)
+
+
 def test_adding_packet_never_decreases_value():
     rng = Random(11)
     for _ in range(300):
@@ -168,7 +171,6 @@ def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
         want = optimal_provisional_schedule(pending, t)
         assert schedule.time == t
         assert schedule.snapshot() == want
-        assert schedule.values == [p.value for p in want.packets]
         assert schedule.total_value == want.total_value
         assert schedule.group_heads() == want.group_heads()
         assert schedule.pending_count == len(pending)

@@ -56,7 +56,7 @@ def reference_steps(inst: Instance, params: PolicyParams):
     dropped: list[int] = []
     total = 0.0
     t = 1
-    while t <= inst.horizon():
+    while True:
         buffer += arrivals.get(t, [])
         remaining -= len(arrivals.get(t, []))
         dropped += sorted(p.id for p in buffer if p.deadline < t)
@@ -76,7 +76,6 @@ def reference_steps(inst: Instance, params: PolicyParams):
         buffer.remove(chosen)
         total += chosen.value
         t += 1
-    dropped += sorted(p.id for p in buffer)
     return tuple(steps), total, tuple(dropped)
 
 
