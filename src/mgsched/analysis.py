@@ -200,10 +200,12 @@ def sweep(
     """Run every cell for `trials` seeded instances; deterministic for any jobs."""
     if trials < 1:
         raise ValueError(f"a sweep needs at least one trial, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"a sweep needs at least one job, got {jobs}")
     rows = []
     for cell in cells:
         results: list[tuple[int, float, int]] = []
-        if jobs <= 1:
+        if jobs == 1:
             results = _run_chunk((cell, seed, 0, trials))
         else:
             chunk = max(1, (trials + jobs - 1) // jobs)

@@ -197,6 +197,8 @@ def _cmd_ratio(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.variants.strip() == "all" and args.policy is None:
         cells = table1_cells(n=args.n, max_slack=args.max_slack)
     else:

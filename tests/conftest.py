@@ -27,6 +27,25 @@ def brute_best_pending_value(pending, t: int) -> float:
     return best
 
 
+def assignment_opt(inst: Instance) -> float:
+    """Independent OPT oracle: a maximum-weight assignment of the packets (rows)
+    to the slots 1..slot_cap() (columns) by scipy's linear_sum_assignment.  A
+    packet scores its value in a slot of its window and 0 elsewhere, so one
+    matched outside its window is a packet left unsent."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    if not inst.packets:
+        return 0.0
+    slots = np.arange(1, inst.slot_cap() + 1)
+    release = np.array([[p.release] for p in inst.packets])
+    deadline = np.array([[p.deadline] for p in inst.packets], dtype=float)  # UNBOUNDED is inf
+    value = np.array([[p.value] for p in inst.packets])
+    score = np.where((release <= slots) & (slots <= deadline), value, 0.0)
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    return math.fsum(score[rows, cols].tolist())
+
+
 def value_order_held(inst: Instance, trace: SimulationTrace) -> bool:
     """Whether the optimal provisional schedule, rebuilt from scratch at every
     send of `trace`, was value-nonincreasing in canonical order each time.

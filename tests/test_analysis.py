@@ -108,6 +108,9 @@ def test_sweep_rejects_empty_runs():
     for trials in (0, -1):
         with pytest.raises(ValueError):
             sweep(cells, trials=trials, seed=3)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="at least one job"):
+            sweep(cells, trials=4, seed=3, jobs=jobs)
 
 
 def test_sweep_argmax_seed_reproduces_max():

@@ -151,6 +151,10 @@ def test_exit_codes(capsys):
     for variants in ("all", "general"):  # table1_cells, and one cell per named variant
         assert main(["sweep", "--variants", variants, "--n", "0", "--trials", "1"]) == EXIT_VALIDATION
         assert "validation error: a sweep cell needs n >= 1 packets per trial, got n=0" in capsys.readouterr().err
+    for jobs in ("0", "-2"):  # rejected before any cell runs, so stdout stays empty
+        assert main(["sweep", "--variants", "general", "--trials", "1", "--jobs", jobs]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--jobs must be at least 1, got {jobs}" in captured.err
 
 
 def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
