@@ -17,7 +17,6 @@ from .model import (
     UNBOUNDED,
     Instance,
     Packet,
-    VariantClass,
     classify_variants,
     dumps_instance,
     load_instance,
@@ -51,7 +50,6 @@ __all__ = [
     "SimulationTrace",
     "SweepCell",
     "SweepReport",
-    "VariantClass",
     "brute_force_optimal",
     "chain_bound",
     "check_chain",

@@ -92,12 +92,13 @@ def random_chain(rng: Random, alpha: float, k: int) -> ChainInstance:
     return ChainInstance(alpha, tuple(q), tuple(p))
 
 
-def extremal_chain(alpha: float, k: int, shrink: float = 1e-9) -> ChainInstance:
-    """Chain built from the bound's tight pattern; ratio approaches the bound."""
+def extremal_chain(alpha: float, k: int) -> ChainInstance:
+    """Chain built from the bound's tight pattern, each q_i shrunk by a factor
+    1 - 1e-9 below its cap; the ratio approaches the bound."""
     p = [1.0]
     q = []
     for _ in range(k - 1):
-        q.append(alpha * p[-1] * (1.0 - shrink))
+        q.append(alpha * p[-1] * (1.0 - 1e-9))
         p.append(q[-1])
     q.append(p[-1])
     return ChainInstance(alpha, tuple(q), tuple(p))
@@ -177,18 +178,14 @@ def derive_seed(base_seed: int, label: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_trial(cell: SweepCell, base_seed: int, trial: int) -> tuple[float, int]:
+def _run_trial(task: tuple[SweepCell, int, int]) -> tuple[float, int]:
+    cell, base_seed, trial = task
     seed = derive_seed(base_seed, cell.variant, trial)
     size_rng = Random(seed)
     n = size_rng.randint(1, cell.n)
     inst = generate(GenSpec(cell.variant, n, max_slack=cell.max_slack, seed=seed))
     report = empirical_ratio(inst, cell.params)
     return report.ratio, seed
-
-
-def _run_chunk(args: tuple[SweepCell, int, int, int]) -> list[tuple[int, float, int]]:
-    cell, base_seed, lo, hi = args
-    return [(trial, *_run_trial(cell, base_seed, trial)) for trial in range(lo, hi)]
 
 
 def sweep(
@@ -202,21 +199,20 @@ def sweep(
         raise ValueError(f"a sweep needs at least one trial, got {trials}")
     if jobs < 1:
         raise ValueError(f"a sweep needs at least one job, got {jobs}")
+    # One map over every (cell, trial); both maps return results in task order.
+    tasks = [(cell, seed, trial) for cell in cells for trial in range(trials)]
+    if jobs == 1:
+        outcomes = list(map(_run_trial, tasks))
+    else:
+        # Four chunks a worker, so that the cells' unequal costs even out.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     rows = []
-    for cell in cells:
-        results: list[tuple[int, float, int]] = []
-        if jobs == 1:
-            results = _run_chunk((cell, seed, 0, trials))
-        else:
-            chunk = max(1, (trials + jobs - 1) // jobs)
-            tasks = [(cell, seed, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_run_chunk, tasks):
-                    results.extend(part)
-        results.sort(key=lambda r: r[0])
-        ratios = [r[1] for r in results]
+    for i, cell in enumerate(cells):
+        results = outcomes[i * trials : (i + 1) * trials]
+        ratios = [r for r, _ in results]
         max_ratio = max(ratios)
-        argmax_seed = next(s for _, r, s in results if r == max_ratio)
+        argmax_seed = next(s for r, s in results if r == max_ratio)
         # A plain loop, not sum(): from Python 3.12 on, sum() of floats is
         # compensated, so the mean (and the sweep CSV) would differ by version.
         total = 0.0

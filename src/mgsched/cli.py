@@ -138,8 +138,7 @@ def _cmd_gen(args) -> int:
     inst = generate(spec)
     with open(args.out, "w", encoding="utf-8") as fp:
         dump_instance(inst, fp)
-    flags = classify_variants(inst).as_dict()
-    on = ", ".join(name for name, value in flags.items() if value) or "(none)"
+    on = ", ".join(name for name, value in classify_variants(inst).items() if value) or "(none)"
     print(f"wrote {len(inst)} packets to {args.out}")
     print(f"variant flags: {on}")
     return EXIT_OK

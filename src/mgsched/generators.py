@@ -20,25 +20,11 @@ from dataclasses import dataclass
 from itertools import groupby
 from random import Random
 
-from .model import (
-    ALL_VARIANTS,
-    PHI,
-    UNBOUNDED,
-    VARIANT_AGREEABLE_DEADLINE,
-    VARIANT_AGREEABLE_DEADLINE_VALUE,
-    VARIANT_AGREEABLE_SLACK_VALUE,
-    VARIANT_AGREEABLE_VALUE,
-    VARIANT_ANTI_AGREEABLE_DEADLINE,
-    VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE,
-    VARIANT_ANTI_AGREEABLE_SLACK_VALUE,
-    VARIANT_ANTI_AGREEABLE_VALUE,
-    VARIANT_GENERAL,
-    Instance,
-    Packet,
-)
+from .model import ALL_VARIANTS, PHI, UNBOUNDED, VARIANT_GENERAL, VARIANT_RULES, Instance, Packet
 
-#: Resolution of the value grid; (hi - lo) / VALUE_GRID_STEPS is the gap unit.
+#: Values lie on the grid lo + k * (hi - lo) / VALUE_GRID_STEPS, k = 0..VALUE_GRID_STEPS.
 VALUE_GRID_STEPS = 4096
+_VALUE_LO, _VALUE_HI = 0.5, 8.5
 
 
 @dataclass(frozen=True)
@@ -48,7 +34,6 @@ class GenSpec:
     variant: str
     n: int
     max_slack: int = 8
-    value_range: tuple[float, float] = (0.5, 8.5)
     seed: int = 0
 
     def __post_init__(self):
@@ -58,13 +43,10 @@ class GenSpec:
             raise ValueError("n must be >= 0")
         if self.max_slack < 0:
             raise ValueError("max_slack must be >= 0")
-        lo, hi = self.value_range
-        if not (0 < lo < hi):
-            raise ValueError("value_range must satisfy 0 < lo < hi")
 
 
-def _grid_value(rng: Random, lo: float, hi: float) -> float:
-    return lo + rng.randrange(VALUE_GRID_STEPS + 1) * ((hi - lo) / VALUE_GRID_STEPS)
+def _grid_value(rng: Random) -> float:
+    return _VALUE_LO + rng.randrange(VALUE_GRID_STEPS + 1) * ((_VALUE_HI - _VALUE_LO) / VALUE_GRID_STEPS)
 
 
 def _release_window(n: int) -> int:
@@ -81,24 +63,21 @@ def _release_groups(releases: list[int]) -> list[tuple[int, int]]:
     return [(r, len(list(g))) for r, g in groupby(releases)]
 
 
-def _sorted_class_values(rng: Random, spec: GenSpec, count: int, increasing: bool) -> list[float]:
-    lo, hi = spec.value_range
-    values = sorted(_grid_value(rng, lo, hi) for _ in range(count))
+def _sorted_class_values(rng: Random, count: int, increasing: bool) -> list[float]:
+    values = sorted(_grid_value(rng) for _ in range(count))
     return values if increasing else values[::-1]
 
 
 def _build_general(rng: Random, spec: GenSpec) -> list[Packet]:
-    lo, hi = spec.value_range
     packets = []
     for i, r in enumerate(_releases(rng, spec)):
         d = r + rng.randint(0, spec.max_slack)
-        packets.append(Packet(i, r, d, _grid_value(rng, lo, hi)))
+        packets.append(Packet(i, r, d, _grid_value(rng)))
     return packets
 
 
 def _build_deadline_coupled(rng: Random, spec: GenSpec, increasing: bool) -> list[Packet]:
     """Deadline follows release order; equal releases share a deadline."""
-    lo, hi = spec.value_range
     groups = _release_groups(_releases(rng, spec))
     deadlines: list[int] = []
     if increasing:
@@ -120,7 +99,7 @@ def _build_deadline_coupled(rng: Random, spec: GenSpec, increasing: bool) -> lis
     i = 0
     for (r, count), d in zip(groups, deadlines):
         for _ in range(count):
-            packets.append(Packet(i, r, d, _grid_value(rng, lo, hi)))
+            packets.append(Packet(i, r, d, _grid_value(rng)))
             i += 1
     return packets
 
@@ -128,7 +107,7 @@ def _build_deadline_coupled(rng: Random, spec: GenSpec, increasing: bool) -> lis
 def _build_value_coupled(rng: Random, spec: GenSpec, increasing: bool) -> list[Packet]:
     """Value follows release order; equal releases share a value."""
     groups = _release_groups(_releases(rng, spec))
-    class_values = _sorted_class_values(rng, spec, len(groups), increasing)
+    class_values = _sorted_class_values(rng, len(groups), increasing)
     packets = []
     i = 0
     for (r, count), v in zip(groups, class_values):
@@ -140,13 +119,12 @@ def _build_value_coupled(rng: Random, spec: GenSpec, increasing: bool) -> list[P
 
 def _build_key_value_coupled(rng: Random, spec: GenSpec, key: str, increasing: bool) -> list[Packet]:
     """Value follows deadline (or slack) order; equal keys share a value."""
-    lo, hi = spec.value_range
     base = []
     for i, r in enumerate(_releases(rng, spec)):
         s = rng.randint(0, spec.max_slack)
         base.append((i, r, r + s, s))
     keys = sorted({(d if key == "deadline" else s) for _, _, d, s in base})
-    class_values = dict(zip(keys, _sorted_class_values(rng, spec, len(keys), increasing)))
+    class_values = dict(zip(keys, _sorted_class_values(rng, len(keys), increasing)))
     return [
         Packet(i, r, d, class_values[d if key == "deadline" else s])
         for i, r, d, s in base
@@ -160,27 +138,19 @@ def generate(spec: GenSpec) -> Instance:
         packets: list[Packet] = []
     elif spec.variant == VARIANT_GENERAL:
         packets = _build_general(rng, spec)
-    elif spec.variant == VARIANT_AGREEABLE_DEADLINE:
-        packets = _build_deadline_coupled(rng, spec, increasing=True)
-    elif spec.variant == VARIANT_ANTI_AGREEABLE_DEADLINE:
-        packets = _build_deadline_coupled(rng, spec, increasing=False)
-    elif spec.variant == VARIANT_AGREEABLE_VALUE:
-        packets = _build_value_coupled(rng, spec, increasing=True)
-    elif spec.variant == VARIANT_ANTI_AGREEABLE_VALUE:
-        packets = _build_value_coupled(rng, spec, increasing=False)
-    elif spec.variant == VARIANT_AGREEABLE_DEADLINE_VALUE:
-        packets = _build_key_value_coupled(rng, spec, "deadline", increasing=True)
-    elif spec.variant == VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE:
-        packets = _build_key_value_coupled(rng, spec, "deadline", increasing=False)
-    elif spec.variant == VARIANT_AGREEABLE_SLACK_VALUE:
-        packets = _build_key_value_coupled(rng, spec, "slack", increasing=True)
     else:
-        packets = _build_key_value_coupled(rng, spec, "slack", increasing=False)
+        key, coupled, increasing = VARIANT_RULES[spec.variant]
+        if coupled == "deadline":
+            packets = _build_deadline_coupled(rng, spec, increasing)
+        elif key == "release":
+            packets = _build_value_coupled(rng, spec, increasing)
+        else:
+            packets = _build_key_value_coupled(rng, spec, key, increasing)
     meta = {
         "variant": spec.variant,
         "n": spec.n,
         "max_slack": spec.max_slack,
-        "value_range": list(spec.value_range),
+        "value_range": [_VALUE_LO, _VALUE_HI],
         "seed": spec.seed,
     }
     return Instance(tuple(packets), meta)

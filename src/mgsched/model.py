@@ -30,17 +30,21 @@ VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE = "anti-agreeable-deadline-value"
 VARIANT_AGREEABLE_SLACK_VALUE = "agreeable-slack-value"
 VARIANT_ANTI_AGREEABLE_SLACK_VALUE = "anti-agreeable-slack-value"
 
-#: The eight pairwise-constrained settings, in a fixed reporting order.
-CONSTRAINED_VARIANTS = (
-    VARIANT_AGREEABLE_DEADLINE,
-    VARIANT_ANTI_AGREEABLE_DEADLINE,
-    VARIANT_AGREEABLE_VALUE,
-    VARIANT_ANTI_AGREEABLE_VALUE,
-    VARIANT_AGREEABLE_DEADLINE_VALUE,
-    VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE,
-    VARIANT_AGREEABLE_SLACK_VALUE,
-    VARIANT_ANTI_AGREEABLE_SLACK_VALUE,
-)
+#: The eight pairwise-constrained settings, in a fixed reporting order.  Each
+#: is one rule over two packet fields (a, b): for every two packets p and q,
+#: a_p <= a_q implies b_p <= b_q, or b_p >= b_q when not increasing.
+VARIANT_RULES = {
+    VARIANT_AGREEABLE_DEADLINE: ("release", "deadline", True),
+    VARIANT_ANTI_AGREEABLE_DEADLINE: ("release", "deadline", False),
+    VARIANT_AGREEABLE_VALUE: ("release", "value", True),
+    VARIANT_ANTI_AGREEABLE_VALUE: ("release", "value", False),
+    VARIANT_AGREEABLE_DEADLINE_VALUE: ("deadline", "value", True),
+    VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE: ("deadline", "value", False),
+    VARIANT_AGREEABLE_SLACK_VALUE: ("slack", "value", True),
+    VARIANT_ANTI_AGREEABLE_SLACK_VALUE: ("slack", "value", False),
+}
+
+CONSTRAINED_VARIANTS = tuple(VARIANT_RULES)
 
 ALL_VARIANTS = (VARIANT_GENERAL,) + CONSTRAINED_VARIANTS
 
@@ -97,37 +101,6 @@ class Violation:
     packet_id: int | None
     rule: str
     detail: str
-
-
-@dataclass(frozen=True)
-class VariantClass:
-    """Truth value of each pairwise variant condition for an instance."""
-
-    agreeable_deadline: bool
-    anti_agreeable_deadline: bool
-    agreeable_value: bool
-    anti_agreeable_value: bool
-    agreeable_deadline_value: bool
-    anti_agreeable_deadline_value: bool
-    agreeable_slack_value: bool
-    anti_agreeable_slack_value: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            VARIANT_AGREEABLE_DEADLINE: self.agreeable_deadline,
-            VARIANT_ANTI_AGREEABLE_DEADLINE: self.anti_agreeable_deadline,
-            VARIANT_AGREEABLE_VALUE: self.agreeable_value,
-            VARIANT_ANTI_AGREEABLE_VALUE: self.anti_agreeable_value,
-            VARIANT_AGREEABLE_DEADLINE_VALUE: self.agreeable_deadline_value,
-            VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE: self.anti_agreeable_deadline_value,
-            VARIANT_AGREEABLE_SLACK_VALUE: self.agreeable_slack_value,
-            VARIANT_ANTI_AGREEABLE_SLACK_VALUE: self.anti_agreeable_slack_value,
-        }
-
-    def satisfies(self, variant: str) -> bool:
-        if variant == VARIANT_GENERAL:
-            return True
-        return self.as_dict()[variant]
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
@@ -189,26 +162,17 @@ def _pairwise_monotone(pairs: list[tuple[float, float]], increasing: bool) -> bo
     return True
 
 
-def classify_variants(inst: Instance) -> VariantClass:
-    """Evaluate all eight pairwise variant conditions.
+def classify_variants(inst: Instance) -> dict[str, bool]:
+    """Whether the instance satisfies each pairwise variant, by name, in
+    CONSTRAINED_VARIANTS order.
 
     UNBOUNDED deadlines (and the unbounded slacks they induce) compare as
     larger than every bounded counterpart; ties satisfy both directions.
     """
-    rd = [(float(p.release), float(p.deadline)) for p in inst.packets]
-    rv = [(float(p.release), p.value) for p in inst.packets]
-    dv = [(float(p.deadline), p.value) for p in inst.packets]
-    sv = [(float(p.slack), p.value) for p in inst.packets]
-    return VariantClass(
-        agreeable_deadline=_pairwise_monotone(rd, True),
-        anti_agreeable_deadline=_pairwise_monotone(rd, False),
-        agreeable_value=_pairwise_monotone(rv, True),
-        anti_agreeable_value=_pairwise_monotone(rv, False),
-        agreeable_deadline_value=_pairwise_monotone(dv, True),
-        anti_agreeable_deadline_value=_pairwise_monotone(dv, False),
-        agreeable_slack_value=_pairwise_monotone(sv, True),
-        anti_agreeable_slack_value=_pairwise_monotone(sv, False),
-    )
+    return {
+        name: _pairwise_monotone([(float(getattr(p, a)), float(getattr(p, b))) for p in inst.packets], increasing)
+        for name, (a, b, increasing) in VARIANT_RULES.items()
+    }
 
 
 # ---------------------------------------------------------------------------

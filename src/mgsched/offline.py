@@ -48,6 +48,7 @@ from typing import Sequence
 
 from .model import UNBOUNDED, Instance, Packet, require_valid
 from .policies import PolicyParams, simulate
+from .provisional import _priority
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,6 @@ WALK_BUDGET = 4
 
 def _walk_budget(n: int) -> float:
     return WALK_BUDGET * n * math.log2(max(n, 1))
-
-
-def _greedy_key(p: Packet) -> tuple[float, float, int]:
-    """The greedy's strict order: higher value first, then earlier deadline, then id."""
-    return (-p.value, p.deadline, p.id)
 
 
 def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, Packet] | None:
@@ -253,7 +249,7 @@ def offline_optimal(inst: Instance) -> OffSchedule:
     """Maximum-value packet-to-slot assignment within the capped horizon."""
     require_valid(inst)
     cap = inst.slot_cap()
-    order = sorted(inst.packets, key=_greedy_key)
+    order = sorted(inst.packets, key=_priority)
     slots = _chain_shift(order, cap, _walk_budget(len(order)))
     if slots is not None:
         chosen: Sequence[Packet] = list(slots.values())
@@ -264,26 +260,24 @@ def offline_optimal(inst: Instance) -> OffSchedule:
     return OffSchedule(tuple(sorted(assignments)), math.fsum(p.value for p in chosen))
 
 
-def brute_force_optimal(inst: Instance, size_limit: int = 10) -> OffSchedule:
-    """Exhaustive maximum over all feasible subsets; testing oracle only."""
+def brute_force_optimal(inst: Instance) -> OffSchedule:
+    """Exhaustive maximum over all feasible subsets; testing oracle only.  The
+    witness slots are EDF over the best subset."""
     require_valid(inst)
-    if len(inst.packets) > size_limit:
-        raise SizeLimitError(f"brute force limited to {size_limit} packets, got {len(inst.packets)}")
+    if len(inst.packets) > 10:  # it tries up to 2**n subsets
+        raise SizeLimitError(f"brute force limited to 10 packets, got {len(inst.packets)}")
     cap = inst.slot_cap()
     packets = inst.packets
     best_value = 0.0
-    best: tuple[Packet, ...] = ()
+    best: list[tuple[int, int]] = []
     for r in range(len(packets), 0, -1):
         for subset in combinations(packets, r):
             value = sum(p.value for p in subset)
-            if value > best_value and _edf_slots(subset, cap) is not None:
-                best_value = value
-                best = subset
-    # Recover a witness assignment; insertion cannot fail on a feasible set.
-    slots = _chain_shift(best, cap, math.inf)
-    assert slots is not None and len(slots) == len(best)
-    assignments = tuple(sorted((pkt.id, s) for s, pkt in slots.items()))
-    return OffSchedule(assignments, best_value)
+            if value > best_value:
+                slots = _edf_slots(subset, cap)
+                if slots is not None:
+                    best_value, best = value, slots
+    return OffSchedule(tuple(sorted(best)), best_value)
 
 
 @dataclass(frozen=True)

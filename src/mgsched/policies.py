@@ -3,7 +3,8 @@
 MG reads the optimal provisional schedule at each step and sends the first
 packet f in canonical order with v_f >= max(v_h / alpha, beta * v_e), where e
 is the schedule's first packet and h its first highest-value packet; if
-v_e >= v_h / alpha it sends e outright.  EDF_alpha works on the raw buffer.
+v_e >= v_h / alpha it sends e outright.  EDF_alpha works on the raw buffer,
+of which it needs only the first packet of each deadline.
 Greedy (send a highest-value pending packet) is MG(1, 1), so it has no
 selector of its own: `mgsched --policy greedy` is an alias of that setting.
 
@@ -180,7 +181,10 @@ def simulate(inst: Instance, params: PolicyParams, *, validate: bool = True) -> 
         if params.kind is PolicyKind.MG:
             chosen = mg_select(schedule, params)
         else:
-            chosen = edf_alpha_select(schedule.pending(), t, params.alpha)
+            # A deadline's first packet has its highest value and comes first
+            # in canonical order, so the heads hold both the top value and
+            # the earliest eligible packet.
+            chosen = edf_alpha_select(schedule.heads(), t, params.alpha)
 
         sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
         total += chosen.value

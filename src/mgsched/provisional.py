@@ -18,6 +18,7 @@ an event costs O(G) for G distinct pending deadlines.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -39,7 +40,7 @@ class ProvisionalSchedule:
 
     @property
     def total_value(self) -> float:
-        return sum(p.value for p, _ in self.entries)
+        return math.fsum(p.value for p, _ in self.entries)
 
     @property
     def packets(self) -> tuple[Packet, ...]:
@@ -65,6 +66,12 @@ def canonical_key(p: Packet) -> tuple[float, float, int]:
 def _priority(p: Packet) -> tuple[float, float, int]:
     """The greedy's strict order: higher value first, then earlier deadline, then id."""
     return (-p.value, p.deadline, p.id)
+
+
+def _units(value: float) -> int:
+    """`value` as an exact whole number of 2**-1074, the smallest float step."""
+    n, d = value.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
 
 
 def _latest_free(parent: list[int], s: int) -> int:
@@ -143,27 +150,28 @@ class IncrementalSchedule:
     So an event costs O(G) for G distinct pending deadlines, plus a bisection
     and a list shift within the packet's own deadline.  Packets must be alive
     at `time`.
+
+    The schedule's value is kept as one exact integer, in units of 2**-1074,
+    that changes whenever a packet joins or leaves the scheduled set; it is
+    rounded once when read, so it equals math.fsum of the scheduled values
+    on every Python version.
     """
 
     def __init__(self, time: int):
         self.time = time
         self.pending_count = 0  # pending packets, scheduled or rejected
         # Per distinct pending deadline, ascending (UNBOUNDED last): its
-        # packets in (-value, id) order, their values, and how many of them,
-        # from the front, are scheduled.
+        # packets in (-value, id) order, their values in _units, and how many
+        # of them, from the front, are scheduled.
         self._deadlines: list[float] = []
         self._packets: list[list[Packet]] = []
-        self._values: list[list[float]] = []
+        self._values: list[list[int]] = []
         self._counts: list[int] = []
+        self._value = 0  # the scheduled packets' values, summed in _units
 
     @property
     def total_value(self) -> float:
-        # One sum, left to right in canonical order, as ProvisionalSchedule
-        # sums; a whole list is passed as is, which sum() walks faster.
-        values = self._values
-        if sum(self._counts) < self.pending_count:  # leave out the rejected
-            values = (v if n == len(v) else islice(v, n) for v, n in zip(values, self._counts))
-        return sum(chain.from_iterable(values))
+        return self._value / (1 << 1074)
 
     def snapshot(self) -> ProvisionalSchedule:
         """The schedule as optimal_provisional_schedule would return it."""
@@ -171,9 +179,9 @@ class IncrementalSchedule:
         scheduled = chain.from_iterable(islice(g, n) for g, n in zip(self._packets, self._counts))
         return ProvisionalSchedule(t, tuple((p, t + i) for i, p in enumerate(scheduled)))
 
-    def pending(self) -> list[Packet]:
-        """Every pending packet, scheduled or rejected, in deadline order."""
-        return list(chain.from_iterable(self._packets))
+    def heads(self) -> list[Packet]:
+        """First packet of each pending deadline, scheduled or rejected, in order."""
+        return [g[0] for g in self._packets]
 
     def group_heads(self) -> list[Packet]:
         """First packet of each deadline (UNBOUNDED is one deadline), in order."""
@@ -189,28 +197,33 @@ class IncrementalSchedule:
             self._values.insert(j, [])
             self._counts.insert(j, 0)
         i = bisect_left(self._packets[j], _priority(p), key=_priority)
+        units = _units(p.value)
         self._packets[j].insert(i, p)
-        self._values[j].insert(i, p.value)
+        self._values[j].insert(i, units)
         self.pending_count += 1
         if i > self._counts[j]:  # behind a rejected packet of its deadline
             return
         tight = None if d == UNBOUNDED else self._tight(j)[1]
         self._counts[j] += 1
+        self._value += units
         if tight is not None:
-            self._counts[self._lowest_through(tight)] -= 1
+            self._reject_lowest_through(tight)
 
     def remove(self, p: Packet) -> None:
         """Delete a pending packet; a rejected one may take a freed place."""
         j = bisect_left(self._deadlines, p.deadline)
         group = self._packets[j]
         i = bisect_left(group, _priority(p), key=_priority)
-        del group[i], self._values[j][i]
+        units = self._values[j].pop(i)
+        del group[i]
         self.pending_count -= 1
         if i < self._counts[j]:
             self._counts[j] -= 1
+            self._value -= units
             if sum(self._counts) < self.pending_count:  # some packet is rejected
                 best = self._best_rejected_after(self._tight(j)[0])
                 if best is not None:
+                    self._value += self._values[best][self._counts[best]]
                     self._counts[best] += 1
         if not group:
             del self._deadlines[j], self._packets[j], self._values[j], self._counts[j]
@@ -219,7 +232,7 @@ class IncrementalSchedule:
         """Move to the next step; return the ids of the packets that expire, sorted."""
         tight = self._tight(0)[1]  # the phantom, deadline = time, is due first
         if tight is not None:
-            self._counts[self._lowest_through(tight)] -= 1
+            self._reject_lowest_through(tight)
         self.time += 1
         # With the phantom placed, every scheduled deadline is >= time, so
         # only rejected packets expire, whole deadlines at a time.
@@ -244,11 +257,13 @@ class IncrementalSchedule:
                 below = k
         return below, None
 
-    def _lowest_through(self, j: int) -> int:
-        """Index of the deadline, up to index j, holding the lowest-priority
-        scheduled packet: the last scheduled packet of some deadline."""
+    def _reject_lowest_through(self, j: int) -> None:
+        """Reject the lowest-priority scheduled packet with deadline index up
+        to j: the last scheduled packet of some deadline."""
         groups = zip(self._packets[: j + 1], self._counts)
-        return max((_priority(g[n - 1]), k) for k, (g, n) in enumerate(groups) if n)[1]
+        k = max((_priority(g[n - 1]), k) for k, (g, n) in enumerate(groups) if n)[1]
+        self._counts[k] -= 1
+        self._value -= self._values[k][self._counts[k]]
 
     def _best_rejected_after(self, j: int) -> int | None:
         """Index of the deadline after index j holding the highest-priority

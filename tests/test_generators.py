@@ -34,8 +34,6 @@ def test_spec_validation():
         GenSpec("bogus", 5)
     with pytest.raises(ValueError):
         GenSpec("general", -1)
-    with pytest.raises(ValueError):
-        GenSpec("general", 5, value_range=(0.0, 1.0))
 
 
 @pytest.mark.parametrize("variant", CONSTRAINED_VARIANTS)
@@ -43,7 +41,7 @@ def test_spec_validation():
 def test_generated_instances_satisfy_their_variant(variant, seed):
     inst = generate(GenSpec(variant, 50, seed=seed))
     assert validate_instance(inst) == []
-    assert classify_variants(inst).satisfies(variant)
+    assert classify_variants(inst)[variant]
 
 
 def test_agreeable_deadline_value_pairwise_explicitly():

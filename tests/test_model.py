@@ -49,26 +49,26 @@ def test_unbounded_deadline_is_valid_and_has_unbounded_slack():
 
 def test_classify_two_packet_example():
     flags = classify_variants(inst_of(mk(0, 1, 1, 5.0), mk(1, 2, 3, 1.0)))
-    assert flags.agreeable_deadline
-    assert flags.anti_agreeable_value
-    assert not flags.agreeable_value
+    assert flags["agreeable-deadline"]
+    assert flags["anti-agreeable-value"]
+    assert not flags["agreeable-value"]
 
 
 def test_classify_empty_instance_all_true():
     flags = classify_variants(Instance(()))
-    assert all(flags.as_dict().values())
+    assert all(flags.values())
 
 
 def test_classify_ties_satisfy_both_directions():
     flags = classify_variants(inst_of(mk(0, 1, 2, 1.0), mk(1, 2, 2, 1.0)))
-    assert all(flags.as_dict().values())
+    assert all(flags.values())
 
 
 def test_classify_unbounded_compares_largest():
     # unbounded deadline on the later release keeps the agreeable flag
     flags = classify_variants(inst_of(mk(0, 1, 5, 1.0), mk(1, 2, UNBOUNDED, 1.0)))
-    assert flags.agreeable_deadline
-    assert not flags.anti_agreeable_deadline
+    assert flags["agreeable-deadline"]
+    assert not flags["anti-agreeable-deadline"]
 
 
 _packet_lists = st.lists(
@@ -89,18 +89,18 @@ def test_classify_matches_naive_pairwise(packets):
     if len(ids) != len(packets):
         packets = [Packet(i, p.release, p.deadline, p.value) for i, p in enumerate(packets)]
     inst = Instance(tuple(packets))
-    assert classify_variants(inst).as_dict() == naive_pairwise_flags(inst)
+    assert classify_variants(inst) == naive_pairwise_flags(inst)
 
 
 @given(_packet_lists, st.integers(0, 6))
 def test_classify_monotone_under_removal(packets, drop_at):
     packets = [Packet(i, p.release, p.deadline, p.value) for i, p in enumerate(packets)]
     inst = Instance(tuple(packets))
-    before = classify_variants(inst).as_dict()
+    before = classify_variants(inst)
     if packets:
         smaller = list(packets)
         del smaller[drop_at % len(smaller)]
-        after = classify_variants(Instance(tuple(smaller))).as_dict()
+        after = classify_variants(Instance(tuple(smaller)))
         for name, flag in before.items():
             if flag:
                 assert after[name]
@@ -108,16 +108,16 @@ def test_classify_monotone_under_removal(packets, drop_at):
 
 def test_value_reversal_turns_agreeable_into_anti():
     packets = [mk(0, 1, 3, 1.0), mk(1, 2, 4, 2.5), mk(2, 3, 9, 4.0)]
-    assert classify_variants(Instance(tuple(packets))).agreeable_value
+    assert classify_variants(Instance(tuple(packets)))["agreeable-value"]
     top = max(p.value for p in packets) + 1.0
     mirrored = Instance(tuple(Packet(p.id, p.release, p.deadline, top - p.value) for p in packets))
-    assert classify_variants(mirrored).anti_agreeable_value
+    assert classify_variants(mirrored)["anti-agreeable-value"]
 
 
 def test_agreeable_and_anti_deadline_force_constant_order():
     inst = inst_of(mk(0, 1, 4, 1.0), mk(1, 1, 4, 2.0), mk(2, 3, 4, 0.5))
     flags = classify_variants(inst)
-    assert flags.agreeable_deadline and flags.anti_agreeable_deadline
+    assert flags["agreeable-deadline"] and flags["anti-agreeable-deadline"]
     # both directions pin equal deadlines within equal releases
     by_release: dict[int, set[float]] = {}
     for p in inst.packets:

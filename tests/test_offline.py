@@ -14,7 +14,6 @@ from mgsched.offline import (
     SizeLimitError,
     _chain_shift,
     _exchange,
-    _greedy_key,
     _walk_budget,
     brute_force_optimal,
     empirical_ratio,
@@ -22,6 +21,7 @@ from mgsched.offline import (
     ratio_csv_row,
 )
 from mgsched.policies import PolicyParams, simulate
+from mgsched.provisional import _priority
 
 
 def test_single_packet():
@@ -135,7 +135,7 @@ def test_ratio_csv_row_shape():
 
 
 def _order(inst: Instance) -> list[Packet]:
-    return sorted(inst.packets, key=_greedy_key)
+    return sorted(inst.packets, key=_priority)
 
 
 def _shift_ids(inst: Instance) -> set[int]:

@@ -175,7 +175,7 @@ SLACK_VALUE_COUNTEREXAMPLE = Instance(
 def test_slack_value_property_violation_is_detected():
     from mgsched.model import classify_variants
 
-    assert classify_variants(SLACK_VALUE_COUNTEREXAMPLE).anti_agreeable_slack_value
+    assert classify_variants(SLACK_VALUE_COUNTEREXAMPLE)["anti-agreeable-slack-value"]
     trace = simulate(SLACK_VALUE_COUNTEREXAMPLE, PolicyParams.mg(UNBOUNDED, 1.0))
     assert not value_order_held(SLACK_VALUE_COUNTEREXAMPLE, trace)
 
@@ -208,8 +208,8 @@ def test_slack_value_adversary_defeats_every_online_algorithm():
     from mgsched.model import classify_variants
 
     a, b = SLACK_VALUE_ADVERSARY_A, SLACK_VALUE_ADVERSARY_B
-    assert classify_variants(a).anti_agreeable_slack_value
-    assert classify_variants(b).anti_agreeable_slack_value
+    assert classify_variants(a)["anti-agreeable-slack-value"]
+    assert classify_variants(b)["anti-agreeable-slack-value"]
     assert [p for p in b.packets if p.release <= 3] == list(a.packets)
     opt_a, opt_b = brute_force_optimal(a), brute_force_optimal(b)
     assert (opt_a.total_value, opt_b.total_value) == (21.0, 23.0)

@@ -12,6 +12,7 @@ from mgsched.model import UNBOUNDED, Packet
 from mgsched.provisional import (
     EmptyScheduleError,
     IncrementalSchedule,
+    canonical_key,
     e_h_of_heads,
     optimal_provisional_schedule,
 )
@@ -174,7 +175,10 @@ def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
         assert schedule.total_value == want.total_value
         assert schedule.group_heads() == want.group_heads()
         assert schedule.pending_count == len(pending)
-        assert sorted(p.id for p in schedule.pending()) == sorted(p.id for p in pending)
+        heads: dict[float, Packet] = {}
+        for p in sorted(pending, key=canonical_key):
+            heads.setdefault(p.deadline, p)
+        assert schedule.heads() == list(heads.values())
 
 
 def test_group_heads_are_first_packet_of_each_deadline():
