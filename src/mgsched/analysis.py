@@ -40,6 +40,7 @@ class ChainInstance:
     """A charging chain: adversary values q_1..q_k vs algorithm values p_1..p_k.
 
     Premises: q_i <= alpha * p_i and q_i <= p_{i+1} for i < k, and q_k <= p_k.
+    A chain that breaks one cannot be made: it raises PremiseError.
     """
 
     alpha: float
@@ -50,13 +51,12 @@ class ChainInstance:
     def k(self) -> int:
         return len(self.q_values)
 
-    def check_premises(self) -> None:
+    def __post_init__(self):
         if len(self.q_values) != len(self.p_values) or not self.q_values:
             raise PremiseError("q and p must be equal-length, non-empty")
         if any(v <= 0 for v in self.q_values + self.p_values):
             raise PremiseError("chain values must be positive")
-        k = self.k
-        for i in range(k - 1):
+        for i in range(self.k - 1):
             if self.q_values[i] > self.alpha * self.p_values[i]:
                 raise PremiseError(f"q_{i+1} > alpha * p_{i+1}")
             if self.q_values[i] > self.p_values[i + 1]:
@@ -67,18 +67,18 @@ class ChainInstance:
 
 def chain_bound(alpha: float, k: int) -> float:
     """((2 - 1/alpha) * alpha^k - alpha) / (alpha^k - 1); increasing in k,
-    bounded above by 2 - 1/alpha."""
-    if alpha <= 1:
+    bounded above by 2 - 1/alpha.  Evaluated through x = alpha^-k, which
+    underflows to 0 (the limit) where alpha^k would overflow."""
+    if not alpha > 1:  # NaN fails too
         raise ValueError("chain_bound requires alpha > 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    a_k = alpha**k
-    return ((2.0 - 1.0 / alpha) * a_k - alpha) / (a_k - 1.0)
+    x = alpha**-k
+    return ((2.0 - 1.0 / alpha) - alpha * x) / (1.0 - x)
 
 
 def check_chain(chain: ChainInstance) -> bool:
     """True iff sum(q) <= chain_bound(alpha, k) * sum(p)."""
-    chain.check_premises()
     return math.fsum(chain.q_values) <= chain_bound(chain.alpha, chain.k) * math.fsum(chain.p_values)
 
 

@@ -25,7 +25,6 @@ from .model import (
     ALL_VARIANTS,
     PHI,
     UNBOUNDED,
-    InvalidInstanceError,
     classify_variants,
     dump_instance,
     load_instance,
@@ -204,6 +203,8 @@ def _cmd_sweep(args) -> int:
         names = list(ALL_VARIANTS) if args.variants.strip() == "all" else [
             v.strip() for v in args.variants.split(",") if v.strip()
         ]
+        if not names:
+            raise _UsageError(f"--variants names no variant: {args.variants!r}")
         for name in names:
             if name not in ALL_VARIANTS:
                 raise _UsageError(f"unknown variant {name!r}")
@@ -219,7 +220,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_chaincheck(args) -> int:
     alpha = parse_alpha(args.alpha)
-    if alpha <= 1 or alpha == UNBOUNDED:
+    if not 1 < alpha < UNBOUNDED:  # NaN fails too
         raise _UsageError("chaincheck requires a finite alpha > 1")
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
@@ -257,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InvalidInstanceError, ValueError) as exc:
+    except ValueError as exc:  # InvalidInstanceError is one
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

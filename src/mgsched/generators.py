@@ -199,7 +199,7 @@ def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
     deadlines pass, so MG never finds a mid packet worth sending.
 
     Every comparison MG makes is checked here to hold by margin
-    >= eps*(phi-1); a failure raises AssertionError.
+    >= eps*(phi-1); a failure raises ValueError.
     """
     k, eps = spec.k, spec.epsilon
     # The tightest comparison sits exactly eps*(phi-1) clear in real arithmetic;
@@ -207,6 +207,13 @@ def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
     margin = eps * (PHI - 1.0) * 0.99
     packets: list[Packet] = []
     pid = 0
+
+    def clear(gap: float, stage: str, comparison: str) -> None:
+        if not gap >= margin:
+            raise ValueError(
+                f"epsilon {eps!r} is too small for k={k}: at {stage} {comparison} by only {gap:.3e}, "
+                f"below the margin {margin:.3e}"
+            )
 
     def emit(release: int, deadline: float, value: float) -> None:
         nonlocal pid
@@ -228,10 +235,10 @@ def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
         f_val = (1.0 - 2.0 * eps) * PHI**i
         h_val = PHI**i
         # MG must skip the cheap packet, skip every mid packet, send the top.
-        assert PHI ** (i - 1) - e_val >= margin  # cheap fails v_e >= v_h/alpha
+        clear(PHI ** (i - 1) - e_val, f"stage {i}", "the cheap packet fails v_e >= v_h/alpha")
         threshold = max(PHI ** (i - 1), PHI * e_val)
-        assert threshold - f_val >= margin  # mids fail the send rule
-        assert h_val - threshold >= margin  # top qualifies
+        clear(threshold - f_val, f"stage {i}", "the mid packets fail the send rule")
+        clear(h_val - threshold, f"stage {i}", "the top packet qualifies")
         for step in range(starts[i - 1], ends[i - 1] + 1):
             emit(step, step, e_val)
             emit(step, f_deadline[i - 1], f_val)
@@ -240,7 +247,7 @@ def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
     flourish = (ends[-1] + 1) if lengths else 1
     final_f = PHI**k
     final_h = PHI ** (k + 1) + eps
-    assert final_h / PHI - final_f >= margin  # expiring packet fails the e-check
+    clear(final_h / PHI - final_f, "the flourish step", "the expiring packet fails the e-check")
     emit(flourish, flourish, final_f)
     emit(flourish, UNBOUNDED, final_h)
 
@@ -254,7 +261,7 @@ def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
         rung = max(alive) + 1  # youngest surviving stage
         f_val = (1.0 - 2.0 * eps) * PHI**rung
         h_val = PHI ** (rung + 1)
-        assert PHI**rung - f_val >= margin
+        clear(PHI**rung - f_val, f"wind-down step {t}", "the surviving mid packets stay blocked")
         emit(t, UNBOUNDED, h_val)
         t += 1
 

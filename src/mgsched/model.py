@@ -70,10 +70,16 @@ class Packet:
 
 @dataclass(frozen=True)
 class Instance:
-    """A finite multiset of packets, plus optional generator metadata."""
+    """A finite multiset of packets, plus optional generator metadata.  Making
+    one from packets that break a rule raises InvalidInstanceError."""
 
     packets: tuple[Packet, ...]
     meta: dict | None = None
+
+    def __post_init__(self):
+        violations = validate_instance(self.packets)
+        if violations:
+            raise InvalidInstanceError(violations)
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -103,11 +109,11 @@ class Violation:
     detail: str
 
 
-def validate_instance(inst: Instance) -> list[Violation]:
+def validate_instance(packets: Iterable[Packet]) -> list[Violation]:
     """Check packet and instance invariants; an empty list means valid."""
     violations: list[Violation] = []
     seen: set[int] = set()
-    for p in inst.packets:
+    for p in packets:
         if p.id in seen:
             violations.append(Violation(p.id, "duplicate-id", f"id {p.id} appears more than once"))
         seen.add(p.id)
@@ -126,17 +132,11 @@ def validate_instance(inst: Instance) -> list[Violation]:
 
 
 class InvalidInstanceError(ValueError):
-    """Raised when an operation requires a valid instance and gets violations."""
+    """Raised when an Instance is made from packets that break a rule."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = violations
         super().__init__("; ".join(f"[{v.packet_id}] {v.rule}: {v.detail}" for v in violations))
-
-
-def require_valid(inst: Instance) -> None:
-    violations = validate_instance(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
 
 
 def _pairwise_monotone(pairs: list[tuple[float, float]], increasing: bool) -> bool:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .model import UNBOUNDED, Instance, Packet, require_valid
+from .model import UNBOUNDED, Instance, Packet
 from .policies import PolicyParams, simulate
 from .provisional import _priority
 
@@ -247,7 +247,6 @@ def _edf_slots(packets: Sequence[Packet], cap: int) -> list[tuple[int, int]] | N
 
 def offline_optimal(inst: Instance) -> OffSchedule:
     """Maximum-value packet-to-slot assignment within the capped horizon."""
-    require_valid(inst)
     cap = inst.slot_cap()
     order = sorted(inst.packets, key=_priority)
     slots = _chain_shift(order, cap, _walk_budget(len(order)))
@@ -263,7 +262,6 @@ def offline_optimal(inst: Instance) -> OffSchedule:
 def brute_force_optimal(inst: Instance) -> OffSchedule:
     """Exhaustive maximum over all feasible subsets; testing oracle only.  The
     witness slots are EDF over the best subset."""
-    require_valid(inst)
     if len(inst.packets) > 10:  # it tries up to 2**n subsets
         raise SizeLimitError(f"brute force limited to 10 packets, got {len(inst.packets)}")
     cap = inst.slot_cap()
@@ -301,9 +299,7 @@ class RatioReport:
 
 def empirical_ratio(inst: Instance, params: PolicyParams) -> RatioReport:
     """Ratio of the offline optimum to one simulated policy run."""
-    opt = offline_optimal(inst)  # validates the instance, once for both
-    trace = simulate(inst, params, validate=False)
-    return RatioReport.from_values(opt.total_value, trace.total_value)
+    return RatioReport.from_values(offline_optimal(inst).total_value, simulate(inst, params).total_value)
 
 
 RATIO_CSV_HEADER = "instance_id,variant,policy,alpha,beta,opt_value,alg_value,ratio"

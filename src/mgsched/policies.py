@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, Sequence
 
-from .model import UNBOUNDED, Instance, Packet, require_valid
+from .model import UNBOUNDED, Instance, Packet
 from .provisional import (
     IncrementalSchedule,
     ProvisionalSchedule,
@@ -44,7 +44,7 @@ class PolicyParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 1:
+        if not self.alpha >= 1:  # NaN fails too
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 1 or not math.isfinite(self.beta):
             raise ValueError(f"beta must be a finite real >= 1, got {self.beta}")
@@ -140,7 +140,7 @@ def edf_alpha_select(pending: Sequence[Packet], t: int, alpha: float) -> Packet:
     return min(eligible, key=canonical_key)
 
 
-def simulate(inst: Instance, params: PolicyParams, *, validate: bool = True) -> SimulationTrace:
+def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     """Run one policy over an instance and record the steps that send.
 
     Each step t: admit arrivals with release == t, then (buffer permitting)
@@ -148,16 +148,13 @@ def simulate(inst: Instance, params: PolicyParams, *, validate: bool = True) -> 
     optimal provisional schedule is one IncrementalSchedule, updated per
     event, never rebuilt; while the buffer is empty the run jumps to the next
     release, so the cost follows the packet count, not the release span.
-    Work-conserving and fully deterministic.  `validate=False` skips the
-    instance check, for callers that have just made it.
+    Work-conserving and fully deterministic.
 
     The run ends when the buffer is empty and nothing is left to release, so
     every packet is either sent or in `dropped_expired`.  No bound on t is
     needed: past the last deadline nothing is alive, and a buffer still busy
     after max release + n steps would have sent more than n packets.
     """
-    if validate:
-        require_valid(inst)
     arrivals: dict[int, list[Packet]] = {}
     for p in inst.packets:
         arrivals.setdefault(p.release, []).append(p)

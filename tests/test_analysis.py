@@ -32,6 +32,8 @@ def test_chain_bound_domain():
     with pytest.raises(ValueError):
         chain_bound(1.0, 3)
     with pytest.raises(ValueError):
+        chain_bound(math.nan, 3)
+    with pytest.raises(ValueError):
         chain_bound(2.0, 0)
 
 
@@ -51,19 +53,26 @@ def test_chain_bound_phi_squared_limit_is_phi():
     assert 2.0 - 1.0 / PHI**2 == pytest.approx(PHI, abs=1e-12)
 
 
+def test_chain_bound_large_k_is_the_limit():
+    # alpha^k would overflow here; the bound is its limit 2 - 1/alpha
+    for alpha in (1.05, PHI, PHI**2, 4.0):
+        assert chain_bound(alpha, 10_000) == 2.0 - 1.0 / alpha
+
+
 def test_check_chain_trivial_equal_pair():
     assert check_chain(ChainInstance(2.0, (1.0,), (1.0,)))
 
 
 def test_check_chain_premise_errors():
+    # a chain that breaks a premise cannot be made, so check_chain never sees one
     with pytest.raises(PremiseError):
-        check_chain(ChainInstance(2.0, (5.0, 1.0), (1.0, 1.0)))  # q1 > alpha*p1
+        ChainInstance(2.0, (5.0, 1.0), (1.0, 1.0))  # q1 > alpha*p1
     with pytest.raises(PremiseError):
-        check_chain(ChainInstance(2.0, (2.0, 1.0), (1.0, 1.0)))  # q1 > p2
+        ChainInstance(2.0, (2.0, 1.0), (1.0, 1.0))  # q1 > p2
     with pytest.raises(PremiseError):
-        check_chain(ChainInstance(2.0, (1.0,), (0.5,)))  # q_k > p_k
+        ChainInstance(2.0, (1.0,), (0.5,))  # q_k > p_k
     with pytest.raises(PremiseError):
-        check_chain(ChainInstance(2.0, (), ()))
+        ChainInstance(2.0, (), ())
 
 
 @given(st.integers(0, 10**9), st.integers(1, 12))

@@ -138,9 +138,23 @@ def test_chaincheck_reports_zero_violations(capsys):
     rc = main(["chaincheck", "--alpha", "phi2", "--trials", "2000", "--k-max", "10", "--seed", "4"])
     assert rc == EXIT_OK
     assert "0 violations in 2000 chains" in capsys.readouterr().out
+    # chains long enough that alpha^k overflows a float
+    assert main(["chaincheck", "--k-max", "2000", "--trials", "50"]) == EXIT_OK
+    assert "0 violations in 50 chains" in capsys.readouterr().out
 
 
-def test_exit_codes(capsys):
+def test_lb_epsilon_too_small_for_floats_is_a_validation_error(tmp_path, capsys):
+    # inside LowerBoundSpec's range, but MG's comparisons no longer clear the margin
+    out = tmp_path / "lb.jsonl"
+    for k, eps, stage in (("3", "1e-16", "stage 2"), ("10", "1e-12", "the flourish step")):
+        assert main(["lb", "--k", k, "--epsilon", eps, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: epsilon {eps} is too small for k={k}: at {stage}"), err
+        assert "below the margin" in err
+        assert not out.exists()
+
+
+def test_exit_codes(tmp_path, capsys):
     assert main(["gen", "--badflag"]) == EXIT_USAGE
     assert main(["run", "--in", "/nonexistent/path.jsonl"]) == EXIT_IO
     assert main(["gen", "--variant", "general", "--n", "-3", "--out", "/tmp/x.jsonl"]) == EXIT_VALIDATION
@@ -155,6 +169,23 @@ def test_exit_codes(capsys):
         assert main(["sweep", "--variants", "general", "--trials", "1", "--jobs", jobs]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and f"--jobs must be at least 1, got {jobs}" in captured.err
+    for variants in (",", ""):  # names no variant: nothing to run
+        assert main(["sweep", "--variants", variants, "--trials", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--variants names no variant" in captured.err
+    # a NaN alpha is rejected, never run
+    inst = tmp_path / "g.jsonl"
+    assert main(["gen", "--n", "10", "--out", str(inst)]) == EXIT_OK
+    for args in (
+        ["run", "--in", str(inst), "--alpha", "nan"],
+        ["run", "--in", str(inst), "--policy", "edf", "--alpha", "nan"],
+        ["sweep", "--policy", "mg", "--alpha", "nan", "--beta", "1", "--trials", "1"],
+    ):
+        capsys.readouterr()
+        assert main(args) == EXIT_VALIDATION, args
+        assert "alpha must be >= 1, got nan" in capsys.readouterr().err
+    assert main(["chaincheck", "--alpha", "nan", "--trials", "1"]) == EXIT_USAGE
+    assert "finite alpha > 1" in capsys.readouterr().err
 
 
 def test_validation_exit_on_bad_instance_file(tmp_path, capsys):

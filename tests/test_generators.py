@@ -40,7 +40,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("seed", [7, 20260810])
 def test_generated_instances_satisfy_their_variant(variant, seed):
     inst = generate(GenSpec(variant, 50, seed=seed))
-    assert validate_instance(inst) == []
+    assert validate_instance(inst.packets) == []
     assert classify_variants(inst)[variant]
 
 
@@ -104,7 +104,7 @@ def test_lb_metadata_round_trip():
     inst = generate_lower_bound(LowerBoundSpec(4, epsilon=2e-7))
     assert inst.meta["k"] == 4
     assert inst.meta["epsilon"] == 2e-7
-    assert validate_instance(inst) == []
+    assert validate_instance(inst.packets) == []
 
 
 def test_lb_ratio_grows_toward_two():

@@ -11,6 +11,7 @@ from conftest import inst_of, mk, naive_pairwise_flags
 from mgsched.model import (
     UNBOUNDED,
     Instance,
+    InvalidInstanceError,
     Packet,
     classify_variants,
     dumps_instance,
@@ -19,32 +20,66 @@ from mgsched.model import (
 )
 
 
+def _violations(*packets):
+    """The violations of `packets`, which Instance must reject with that same list."""
+    violations = validate_instance(packets)
+    with pytest.raises(InvalidInstanceError) as info:
+        Instance(packets)
+    assert info.value.violations == violations
+    return violations
+
+
 def test_minimal_valid_instance():
-    assert validate_instance(inst_of(mk(0, 1, 1, 1.0))) == []
+    assert validate_instance((mk(0, 1, 1, 1.0),)) == []
+    assert len(inst_of(mk(0, 1, 1, 1.0))) == 1
 
 
 def test_deadline_before_release_violation():
-    violations = validate_instance(inst_of(mk(0, 1, 0, 1.0)))
+    violations = _violations(mk(0, 1, 0, 1.0))
     assert [v.rule for v in violations] == ["deadline-before-release"]
     assert violations[0].packet_id == 0
 
 
 def test_non_positive_value_violation():
-    violations = validate_instance(inst_of(mk(0, 1, 1, 0.0)))
+    violations = _violations(mk(0, 1, 1, 0.0))
     assert [v.rule for v in violations] == ["non-positive-value"]
 
 
 def test_duplicate_id_and_bad_release():
-    violations = validate_instance(inst_of(mk(3, 1, 2, 1.0), mk(3, 0, 2, 1.0)))
+    violations = _violations(mk(3, 1, 2, 1.0), mk(3, 0, 2, 1.0))
     rules = {v.rule for v in violations}
     assert "duplicate-id" in rules and "release-before-one" in rules
 
 
 def test_unbounded_deadline_is_valid_and_has_unbounded_slack():
     p = mk(0, 5, UNBOUNDED, 2.0)
-    assert validate_instance(inst_of(p)) == []
+    assert validate_instance((p,)) == []
+    assert inst_of(p).packets == (p,)
     assert p.slack == UNBOUNDED
     assert not p.has_bounded_deadline
+
+
+_any_packets = st.lists(
+    st.builds(
+        Packet,
+        id=st.integers(0, 2),
+        release=st.integers(-1, 4),
+        deadline=st.one_of(st.integers(-1, 6), st.just(UNBOUNDED)),
+        value=st.sampled_from((-1.0, 0.0, 0.5, math.nan, math.inf)),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+@given(_any_packets)
+def test_instance_is_made_exactly_when_validate_instance_finds_nothing(packets):
+    violations = validate_instance(packets)
+    if violations:
+        with pytest.raises(InvalidInstanceError) as info:
+            Instance(packets)
+        assert info.value.violations == violations
+    else:
+        assert Instance(packets).packets == packets
 
 
 def test_classify_two_packet_example():

@@ -190,7 +190,7 @@ def test_both_solvers_choose_the_same_set():
                                 seed=rng.getrandbits(48)))
         assert _shift_ids(inst) == _exchange_ids(inst)
     # equal values: the strict (-value, deadline, id) order alone decides
-    tied = Instance(tuple(Packet(i, 1 + i % 3, 2 + i % 5, 1.0) for i in range(12)))
+    tied = Instance(tuple(Packet(i, 1 + i % 3, 1 + i % 3 + i % 5, 1.0) for i in range(12)))
     assert _shift_ids(tied) == _exchange_ids(tied)
     for k in range(1, 9):
         inst = generate_lower_bound(LowerBoundSpec(k, 1e-6))

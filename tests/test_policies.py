@@ -28,6 +28,10 @@ def test_params_validation():
         PolicyParams.mg(1.0, 1.5)  # beta > alpha
     with pytest.raises(ValueError):
         PolicyParams(PolicyKind.MG, 0.5, 0.5)
+    with pytest.raises(ValueError, match="alpha must be >= 1, got nan"):
+        PolicyParams.mg(math.nan, 1.0)
+    with pytest.raises(ValueError, match="alpha must be >= 1, got nan"):
+        PolicyParams.edf(math.nan)
     assert PolicyParams.mg(UNBOUNDED, 3.0).alpha == UNBOUNDED
 
 

@@ -160,24 +160,21 @@ def test_empirical_ratio_validates_once(monkeypatch):
     calls = []
     original = mgsched.model.validate_instance
 
-    def counting(inst):
-        calls.append(inst)
-        return original(inst)
+    def counting(packets):
+        calls.append(packets)
+        return original(packets)
 
     monkeypatch.setattr(mgsched.model, "validate_instance", counting)
     inst = generate(GenSpec("general", 20, seed=4))
+    assert calls == [inst.packets]  # once, when the instance is made
     empirical_ratio(inst, PolicyParams.mg(PHI, PHI))
-    assert len(calls) == 1
     simulate(inst, PolicyParams.mg(PHI, PHI))
     offline_optimal(inst)
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_direct_calls_still_validate():
-    bad = inst_of(mk(0, 3, 2, 1.0))
-    with pytest.raises(InvalidInstanceError):
-        simulate(bad, PolicyParams.mg(PHI, PHI))
-    with pytest.raises(InvalidInstanceError):
-        offline_optimal(bad)
-    with pytest.raises(InvalidInstanceError):
-        empirical_ratio(bad, PolicyParams.mg(PHI, PHI))
+    # an invalid instance cannot be made, so no solver or policy ever sees one
+    with pytest.raises(InvalidInstanceError) as info:
+        inst_of(mk(0, 3, 2, 1.0))
+    assert [v.rule for v in info.value.violations] == ["deadline-before-release"]
