@@ -54,14 +54,15 @@ class ChainInstance:
     def __post_init__(self):
         if len(self.q_values) != len(self.p_values) or not self.q_values:
             raise PremiseError("q and p must be equal-length, non-empty")
-        if any(v <= 0 for v in self.q_values + self.p_values):
+        # Each test is written so that a NaN fails it.
+        if any(not v > 0 for v in self.q_values + self.p_values):
             raise PremiseError("chain values must be positive")
         for i in range(self.k - 1):
-            if self.q_values[i] > self.alpha * self.p_values[i]:
+            if not self.q_values[i] <= self.alpha * self.p_values[i]:
                 raise PremiseError(f"q_{i+1} > alpha * p_{i+1}")
-            if self.q_values[i] > self.p_values[i + 1]:
+            if not self.q_values[i] <= self.p_values[i + 1]:
                 raise PremiseError(f"q_{i+1} > p_{i+2}")
-        if self.q_values[-1] > self.p_values[-1]:
+        if not self.q_values[-1] <= self.p_values[-1]:
             raise PremiseError("q_k > p_k")
 
 

@@ -171,10 +171,12 @@ class LowerBoundSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 < self.epsilon < 1 / (10 * PHI ** (self.k + 1)):
-            raise ValueError(
-                f"epsilon must lie in (0, 1/(10*phi^(k+1))) = (0, {1 / (10 * PHI ** (self.k + 1)):.3e})"
-            )
+        try:
+            bound = 1 / (10 * PHI ** (self.k + 1))
+        except OverflowError:  # phi^(k+1) is past the float range for k >= 1474: no epsilon fits
+            bound = 0.0
+        if not 0 < self.epsilon < bound:
+            raise ValueError(f"epsilon must lie in (0, 1/(10*phi^(k+1))) = (0, {bound:.3e})")
 
 
 def _stage_lengths(k: int) -> list[int]:

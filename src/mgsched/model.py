@@ -216,10 +216,11 @@ def packet_from_obj(obj: dict) -> Packet:
 
 
 def dump_instance(inst: Instance, fp: IO[str]) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
     if inst.meta is not None:
-        fp.write(json.dumps({"meta": inst.meta}, sort_keys=True) + "\n")
+        fp.write(encode({"meta": inst.meta}) + "\n")
     for p in inst.packets:
-        fp.write(json.dumps(packet_to_obj(p), sort_keys=True) + "\n")
+        fp.write(encode(packet_to_obj(p)) + "\n")
 
 
 def dumps_instance(inst: Instance) -> str:
@@ -228,6 +229,22 @@ def dumps_instance(inst: Instance) -> str:
     buf = io.StringIO()
     dump_instance(inst, buf)
     return buf.getvalue()
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(line: str):
+    """json.loads of a stripped line, without its per-call wrapper and
+    whitespace scans.  A line that is not one whole JSON value gets the error
+    json.loads raises, trailing data ("Extra data") included."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
 
 
 def load_instance(fp: IO[str]) -> Instance:
@@ -239,7 +256,7 @@ def load_instance(fp: IO[str]) -> Instance:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
             if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
                 meta = obj["meta"]
                 if not isinstance(meta, dict):

@@ -26,13 +26,17 @@ lowest member in the greedy order leaves (a max tree of greedy ranks over the
 chosen packets, by release, finds it).  The witness slots are EDF over the
 chosen set.
 
-offline_optimal runs the chain shift under a budget of WALK_BUDGET * n*log2(n)
-slots walked past the packets' releases, and drops it for the exchange once
-the walk passes that.  Measured walk / (n*log2 n): at most 1.94 (median 0.69)
-over 10 800 instances of the nine table1 sweep cells (n <= 40, max slack 8);
-0.31 on 100 bursts of 30 general packets 5000 steps apart; 7.4, 24, 82 on the
-lower-bound family at k = 6, 8, 10.  There the chain shift is abandoned after
-about 0.04 s at k = 10, and the exchange solves k = 12 (24 419 packets) in
+offline_optimal runs the chain shift and drops it for the exchange as soon as
+the slots walked past the releases of the first i packets in greedy order add
+up to more than WALK_BUDGET * log2(n) * i.  At i = n that is WALK_BUDGET *
+n*log2(n); checking every prefix drops a walk that runs long within a few
+hundred packets.  The largest walk / (i*log2 n) over all prefixes: 1.87 on
+7200 instances of the nine table1 sweep cells (n <= 40, max slack 8, sweep
+seeds 0, 7, 801 and 901) and 0.31 on 100 bursts of 30 general packets 5000
+steps apart, so both stay on the chain shift.  On the lower-bound family the
+budget trips at the 240th, 255th, 272nd and 486th packet for k = 6, 8, 10 and
+12 (of 341, 1463, 6033 and 24 419); a budget on the total alone trips at the
+1768th at k = 10 and the 3822nd at k = 12.  The exchange solves k = 12 in
 about 0.3 s where the chain shift took 14.5 s.  On the sweep's instances the
 exchange alone takes about 5x the chain shift's time, so neither solver is
 best everywhere.  An exhaustive oracle cross-checks both on small instances.
@@ -44,7 +48,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import UNBOUNDED, Instance, Packet
 from .policies import PolicyParams, simulate
@@ -66,22 +70,27 @@ class SizeLimitError(ValueError):
     pass
 
 
-# Walk budget of the chain shift, in units of n*log2(n) slots.
+# Walk budget of the chain shift, in units of log2(n) slots per packet read.
 WALK_BUDGET = 4
 
 
 def _walk_budget(n: int) -> float:
-    return WALK_BUDGET * n * math.log2(max(n, 1))
+    """The chain shift's walk allowance per packet read, WALK_BUDGET * log2(n).
+    Over every prefix, the sweep's instances walk at most 1.87 * log2(n) slots
+    a packet and the sparse-span bursts 0.31 * log2(n)."""
+    return WALK_BUDGET * math.log2(max(n, 1))
 
 
-def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, Packet] | None:
+def _chain_shift(order: Iterable[Packet], cap: int, budget: float) -> dict[int, Packet] | None:
     """Insert the packets of `order` one by one into a deadline-ordered slot
     assignment, shifting later-deadline occupants right; a packet with no
-    augmenting placement is left out.  Returns slot -> packet, or None once
-    the slots walked past the packets' releases add up to more than `budget`."""
+    augmenting placement is left out.  Returns slot -> packet, or None as soon
+    as the slots walked past the releases of the first i packets add up to
+    more than `budget` * i.  Under _walk_budget that is packet 240, 255, 272
+    and 486 of the lower-bound family at k = 6, 8, 10 and 12."""
     slots: dict[int, Packet] = {}
     walked = 0
-    for p in order:
+    for i, p in enumerate(order, 1):
         carry = p
         t = p.release
         trail: list[tuple[int, Packet]] = []
@@ -99,7 +108,7 @@ def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, 
             for s, old in trail:
                 slots[s] = old
         walked += t - p.release
-        if walked > budget:
+        if walked > budget * i:
             return None
     return slots
 

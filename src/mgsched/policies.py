@@ -196,30 +196,29 @@ def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
     """JSON-lines trace: one record per step, idle ones included, then a summary line."""
     import json
 
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
     for s in trace.iter_steps():
         fp.write(
-            json.dumps(
+            encode(
                 {
                     "t": s.t,
                     "sent_id": s.sent_id,
                     "sent_value": s.sent_value,
                     "buffer_size": s.buffer_size,
                     "schedule_value": s.schedule_value,
-                },
-                sort_keys=True,
+                }
             )
             + "\n"
         )
     fp.write(
-        json.dumps(
+        encode(
             {
                 "summary": {
                     "totalValue": trace.total_value,
                     "sentCount": trace.sent_count,
                     "droppedCount": len(trace.dropped_expired),
                 }
-            },
-            sort_keys=True,
+            }
         )
         + "\n"
     )

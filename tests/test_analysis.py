@@ -73,6 +73,13 @@ def test_check_chain_premise_errors():
         ChainInstance(2.0, (1.0,), (0.5,))  # q_k > p_k
     with pytest.raises(PremiseError):
         ChainInstance(2.0, (), ())
+    # NaN breaks every premise it enters
+    nan = math.nan
+    for q, p in (((nan,), (1.0,)), ((1.0,), (nan,)), ((1.0, 1.0), (nan, 1.0))):
+        with pytest.raises(PremiseError):
+            ChainInstance(2.0, q, p)
+    with pytest.raises(PremiseError):
+        ChainInstance(nan, (1.0, 1.0), (1.0, 1.0))  # q1 <= alpha*p1 fails
 
 
 @given(st.integers(0, 10**9), st.integers(1, 12))

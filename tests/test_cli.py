@@ -186,6 +186,11 @@ def test_exit_codes(tmp_path, capsys):
         assert "alpha must be >= 1, got nan" in capsys.readouterr().err
     assert main(["chaincheck", "--alpha", "nan", "--trials", "1"]) == EXIT_USAGE
     assert "finite alpha > 1" in capsys.readouterr().err
+    # phi^(k+1) is past the float range: no epsilon fits, and nothing is written
+    out = tmp_path / "lb.jsonl"
+    assert main(["lb", "--k", "1500", "--out", str(out)]) == EXIT_VALIDATION
+    assert "validation error: epsilon must lie in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
@@ -204,6 +209,9 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
         ('{"id": "1", "release": 1, "deadline": 3, "value": 1.0}', "id must be an integer"),
         ('{"id": 1, "release": 1, "deadline": 3, "value": "2"}', "value must be a number"),
         ("{not json", "line 2"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": 1.0} 5', "Extra data"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": 1.0}{"id": 2, "release": 1, "deadline": 3, "value": 1.0}',
+         "Extra data"),
         ('{"meta": 5}', "meta must be a JSON object"),
     ):
         bad.write_text(good + line + "\n")

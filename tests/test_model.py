@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import pytest
@@ -170,6 +171,15 @@ def test_serialization_round_trip_with_meta_and_unbounded():
     assert back.packets == inst.packets
     assert back.meta == inst.meta
     assert dumps_instance(back) == text
+
+
+def test_loader_reports_the_error_json_loads_gives():
+    for line in ('{"id": 0} 5', '{"a": 1}  {"b": 2}', '\ufeff{"a": 1}', "{not json", "1 2", '"a" x'):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(line)
+        with pytest.raises(ValueError) as got:
+            loads_instance(" " + line + "\n")
+        assert str(got.value) == f"line 1: {want.value}"
 
 
 def test_horizon_and_slot_cap():

@@ -209,6 +209,23 @@ def test_exchange_path_returns_a_valid_witness():
     assert sched.total_value == math.fsum(by_id[pid].value for pid, _ in sched.assignments)
 
 
+def test_chain_shift_gives_up_early_on_the_lower_bound_family():
+    # The budget grows with the packets read, so a long walk is dropped near
+    # the start of the greedy order rather than after a fixed total.
+    inst = generate_lower_bound(LowerBoundSpec(10, 1e-6))
+    order = _order(inst)
+    read = 0
+
+    def counted():
+        nonlocal read
+        for p in order:
+            read += 1
+            yield p
+
+    assert _chain_shift(counted(), inst.slot_cap(), _walk_budget(len(order))) is None
+    assert read <= 300, read  # 272 of 6033 packets
+
+
 def test_walk_budget_sends_each_benchmark_shape_to_its_solver():
     # The adversarial family's chain shift walks far past n*log2(n) slots.
     assert not _shift_within_budget(generate_lower_bound(LowerBoundSpec(8, 1e-6)))
