@@ -32,7 +32,7 @@ from .policies import (
     mg_select,
     simulate,
 )
-from .provisional import ProvisionalSchedule, optimal_provisional_schedule
+from .provisional import optimal_provisional_schedule
 
 __all__ = [
     "PHI",
@@ -45,7 +45,6 @@ __all__ = [
     "Packet",
     "PolicyKind",
     "PolicyParams",
-    "ProvisionalSchedule",
     "RatioReport",
     "SimulationTrace",
     "SweepCell",

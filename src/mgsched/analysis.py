@@ -39,8 +39,9 @@ class PremiseError(ValueError):
 class ChainInstance:
     """A charging chain: adversary values q_1..q_k vs algorithm values p_1..p_k.
 
-    Premises: q_i <= alpha * p_i and q_i <= p_{i+1} for i < k, and q_k <= p_k.
-    A chain that breaks one cannot be made: it raises PremiseError.
+    Premises: 1 < alpha < inf, q_i <= alpha * p_i and q_i <= p_{i+1} for
+    i < k, and q_k <= p_k.  A chain that breaks one cannot be made: it raises
+    PremiseError.
     """
 
     alpha: float
@@ -52,6 +53,8 @@ class ChainInstance:
         return len(self.q_values)
 
     def __post_init__(self):
+        if not 1 < self.alpha < UNBOUNDED:  # NaN fails too
+            raise PremiseError(f"alpha must be a finite real > 1, got {self.alpha}")
         if len(self.q_values) != len(self.p_values) or not self.q_values:
             raise PremiseError("q and p must be equal-length, non-empty")
         # Each test is written so that a NaN fails it.

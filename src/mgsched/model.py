@@ -258,9 +258,11 @@ def load_instance(fp: IO[str]) -> Instance:
         try:
             obj = _loads(line)
             if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
+                if not isinstance(obj["meta"], dict):
+                    raise ValueError(f"meta must be a JSON object, got {obj['meta']!r}")
+                if meta is not None or packets:
+                    raise ValueError("a meta line may come only once, before every packet")
                 meta = obj["meta"]
-                if not isinstance(meta, dict):
-                    raise ValueError(f"meta must be a JSON object, got {meta!r}")
             else:
                 packets.append(packet_from_obj(obj))
         except ValueError as exc:

@@ -3,8 +3,11 @@
 MG reads the optimal provisional schedule at each step and sends the first
 packet f in canonical order with v_f >= max(v_h / alpha, beta * v_e), where e
 is the schedule's first packet and h its first highest-value packet; if
-v_e >= v_h / alpha it sends e outright.  EDF_alpha works on the raw buffer,
-of which it needs only the first packet of each deadline.
+v_e >= v_h / alpha it sends e outright.  A deadline's first packet has its
+highest value, so e, v_h and f are all read from the schedule's first packet
+of each deadline: mg_select takes that list of heads.  EDF_alpha works on the
+raw buffer, of which it needs only the first packet of each deadline.  Both
+selectors raise EmptyBufferError on an empty list.
 Greedy (send a highest-value pending packet) is MG(1, 1), so it has no
 selector of its own: `mgsched --policy greedy` is an alias of that setting.
 
@@ -21,13 +24,11 @@ from enum import Enum
 from typing import IO, Iterator, Sequence
 
 from .model import UNBOUNDED, Instance, Packet
-from .provisional import (
-    IncrementalSchedule,
-    ProvisionalSchedule,
-    canonical_key,
-    e_h_of_heads,
-)
-from .provisional import optimal_provisional_schedule  # noqa: F401  (re-exported; callers look it up here)
+from .provisional import IncrementalSchedule, canonical_key
+
+# Unused here: perfbench/spans.py SITES wraps it under this module, which
+# tests/test_bench_hooks.py guards.  It goes with ROADMAP item 1.
+from .provisional import optimal_provisional_schedule  # noqa: F401
 
 
 class PolicyKind(str, Enum):
@@ -106,16 +107,18 @@ class SimulationTrace:
         return len(self.sends)
 
 
-def mg_select(s: ProvisionalSchedule | IncrementalSchedule, params: PolicyParams) -> Packet:
-    """Apply the MG send rule to a non-empty provisional schedule.
+def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
+    """Apply the MG send rule to a provisional schedule's group heads: the
+    first scheduled packet of each deadline, in canonical order.
 
-    Within a deadline the first packet has the highest value, so e, h and the
-    first packet past the threshold are all first packets of their deadline:
-    the rule reads only `s.group_heads()`.
+    Within a deadline the first packet has the highest value, so e, the top
+    value v_h and the first packet past the threshold are all heads.
     """
-    heads = s.group_heads()
-    e, h = e_h_of_heads(heads)
-    h_over_alpha = 0.0 if params.alpha == UNBOUNDED else h.value / params.alpha
+    if not heads:
+        raise EmptyBufferError("provisional schedule is empty")
+    e = heads[0]
+    top = max(p.value for p in heads)
+    h_over_alpha = 0.0 if params.alpha == UNBOUNDED else top / params.alpha
     if e.value >= h_over_alpha:
         return e
     threshold = max(h_over_alpha, params.beta * e.value)
@@ -126,14 +129,14 @@ def mg_select(s: ProvisionalSchedule | IncrementalSchedule, params: PolicyParams
     raise AssertionError("no qualifying packet; alpha/beta invariant broken")
 
 
-def edf_alpha_select(pending: Sequence[Packet], t: int, alpha: float) -> Packet:
+def edf_alpha_select(pending: Sequence[Packet], alpha: float) -> Packet:
     """Earliest-deadline pending packet with value >= (max pending value) / alpha.
 
     Ties by decreasing value, then id.  Operates on the raw buffer, not the
     provisional schedule.
     """
     if not pending:
-        raise EmptyBufferError(f"no pending packets at t={t}")
+        raise EmptyBufferError("no pending packets")
     top = max(p.value for p in pending)
     threshold = 0.0 if alpha == UNBOUNDED else top / alpha
     eligible = [p for p in pending if p.value >= threshold]
@@ -176,12 +179,12 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
             continue
 
         if params.kind is PolicyKind.MG:
-            chosen = mg_select(schedule, params)
+            chosen = mg_select(schedule.group_heads(), params)
         else:
             # A deadline's first packet has its highest value and comes first
             # in canonical order, so the heads hold both the top value and
             # the earliest eligible packet.
-            chosen = edf_alpha_select(schedule.heads(), t, params.alpha)
+            chosen = edf_alpha_select(schedule.heads(), params.alpha)
 
         sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
         total += chosen.value

@@ -2,8 +2,9 @@
 
 A provisional schedule at time t assigns pending packets to the slots
 t, t+1, ... assuming no further arrivals; the optimal one maximizes total
-value.  Packets are kept in canonical order: increasing deadline, ties broken
-by decreasing value, then by id for full determinism.
+value.  It is a tuple of the scheduled packets in canonical order (increasing
+deadline, ties broken by decreasing value, then by id for full determinism),
+and the packet at index i takes slot t + i.
 
 optimal_provisional_schedule rebuilds the schedule from scratch and is the
 reference oracle; IncrementalSchedule keeps the same schedule up to date as
@@ -18,44 +19,11 @@ an event costs O(G) for G distinct pending deadlines.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Sequence
 
 from .model import UNBOUNDED, Packet
-
-
-class EmptyScheduleError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ProvisionalSchedule:
-    """Canonically ordered slot assignment of a value-maximal pending subset."""
-
-    time: int
-    entries: tuple[tuple[Packet, int], ...]  # (packet, slot), slot = time + index
-
-    @property
-    def total_value(self) -> float:
-        return math.fsum(p.value for p, _ in self.entries)
-
-    @property
-    def packets(self) -> tuple[Packet, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def group_heads(self) -> list[Packet]:
-        """First packet of each deadline (UNBOUNDED is one deadline), in order."""
-        heads: list[Packet] = []
-        for p, _ in self.entries:
-            if not heads or heads[-1].deadline != p.deadline:
-                heads.append(p)
-        return heads
 
 
 def canonical_key(p: Packet) -> tuple[float, float, int]:
@@ -84,7 +52,7 @@ def _latest_free(parent: list[int], s: int) -> int:
     return root
 
 
-def optimal_provisional_schedule(pending: Sequence[Packet], t: int) -> ProvisionalSchedule:
+def optimal_provisional_schedule(pending: Sequence[Packet], t: int) -> tuple[Packet, ...]:
     """Value-maximal slot-feasible subset of `pending` at time t, canonical order.
 
     Greedy by decreasing value (ties by earlier deadline then smaller id) with
@@ -96,8 +64,6 @@ def optimal_provisional_schedule(pending: Sequence[Packet], t: int) -> Provision
     the tests hold IncrementalSchedule to; the simulator does not call it.
     """
     n = len(pending)
-    if n == 0:
-        return ProvisionalSchedule(t, ())
     # Slot indices 0..n-1 stand for t..t+n-1; index n is the "no slot" root.
     parent = list(range(n + 1))
     accepted: list[Packet] = []
@@ -108,16 +74,7 @@ def optimal_provisional_schedule(pending: Sequence[Packet], t: int) -> Provision
             parent[slot + 1] = slot
             accepted.append(p)
     accepted.sort(key=canonical_key)
-    return ProvisionalSchedule(t, tuple((p, t + i) for i, p in enumerate(accepted)))
-
-
-def e_h_of_heads(heads: Sequence[Packet]) -> tuple[Packet, Packet]:
-    """e and h from a schedule's group heads.  A deadline's first packet has
-    its highest value, so h is the first head of the highest value."""
-    if not heads:
-        raise EmptyScheduleError("provisional schedule is empty")
-    top = max(p.value for p in heads)
-    return heads[0], next(p for p in heads if p.value == top)
+    return tuple(accepted)
 
 
 class IncrementalSchedule:
@@ -173,11 +130,9 @@ class IncrementalSchedule:
     def total_value(self) -> float:
         return self._value / (1 << 1074)
 
-    def snapshot(self) -> ProvisionalSchedule:
+    def snapshot(self) -> tuple[Packet, ...]:
         """The schedule as optimal_provisional_schedule would return it."""
-        t = self.time
-        scheduled = chain.from_iterable(islice(g, n) for g, n in zip(self._packets, self._counts))
-        return ProvisionalSchedule(t, tuple((p, t + i) for i, p in enumerate(scheduled)))
+        return tuple(chain.from_iterable(islice(g, n) for g, n in zip(self._packets, self._counts)))
 
     def heads(self) -> list[Packet]:
         """First packet of each pending deadline, scheduled or rejected, in order."""

@@ -15,6 +15,16 @@ def inst_of(*packets: Packet) -> Instance:
     return Instance(tuple(packets))
 
 
+def heads_of(scheduled) -> list[Packet]:
+    """First packet of each deadline (UNBOUNDED is one deadline) of a
+    canonically ordered provisional schedule, in order."""
+    heads: list[Packet] = []
+    for p in scheduled:
+        if not heads or heads[-1].deadline != p.deadline:
+            heads.append(p)
+    return heads
+
+
 def brute_best_pending_value(pending, t: int) -> float:
     """Independent oracle: max total value over all slot-feasible subsets."""
     n = len(pending)
@@ -58,7 +68,7 @@ def value_order_held(inst: Instance, trace: SimulationTrace) -> bool:
     sent: set[int] = set()
     for step in trace.sends:
         pending = [p for p in inst.packets if p.release <= step.t <= p.deadline and p.id not in sent]
-        values = [p.value for p in optimal_provisional_schedule(pending, step.t).packets]
+        values = [p.value for p in optimal_provisional_schedule(pending, step.t)]
         if any(a < b for a, b in zip(values, values[1:])):
             return False
         sent.add(step.sent_id)

@@ -54,7 +54,7 @@ def test_criterion_1_provisional_oracle_equivalence():
         t = rng.randint(1, 5)
         n = rng.randint(1, 8)
         pending = [Packet(i, 1, t + rng.randint(0, 7), rng.randint(1, 256) / 16.0) for i in range(n)]
-        got = optimal_provisional_schedule(pending, t).total_value
+        got = math.fsum(p.value for p in optimal_provisional_schedule(pending, t))
         want = brute_best_pending_value(pending, t)
         if got != want:
             mismatches += 1

@@ -80,6 +80,11 @@ def test_check_chain_premise_errors():
             ChainInstance(2.0, q, p)
     with pytest.raises(PremiseError):
         ChainInstance(nan, (1.0, 1.0), (1.0, 1.0))  # q1 <= alpha*p1 fails
+    # the bound needs 1 < alpha < inf; check_chain would raise on the first
+    # three and report a false violation on the last
+    for alpha in (0.5, 1.0, nan, math.inf):
+        with pytest.raises(PremiseError, match="alpha must be a finite real > 1"):
+            ChainInstance(alpha, (1.0,), (1.0,))
 
 
 @given(st.integers(0, 10**9), st.integers(1, 12))

@@ -213,6 +213,7 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
         ('{"id": 1, "release": 1, "deadline": 3, "value": 1.0}{"id": 2, "release": 1, "deadline": 3, "value": 1.0}',
          "Extra data"),
         ('{"meta": 5}', "meta must be a JSON object"),
+        ('{"meta": {"seed": 1}}', "a meta line may come only once, before every packet"),
     ):
         bad.write_text(good + line + "\n")
         capsys.readouterr()

@@ -173,6 +173,14 @@ def test_serialization_round_trip_with_meta_and_unbounded():
     assert dumps_instance(back) == text
 
 
+def test_loader_rejects_a_second_or_late_meta_line():
+    meta, packet = '{"meta": {"seed": 1}}\n', '{"id": 0, "release": 1, "deadline": 3, "value": 1.0}\n'
+    assert loads_instance(meta + packet).meta == {"seed": 1}
+    for text, lineno in ((meta + meta + packet, 2), (meta + packet + meta, 3), (packet + "\n" + meta, 3)):
+        with pytest.raises(ValueError, match=f"line {lineno}: a meta line may come only once, before every packet"):
+            loads_instance(text)
+
+
 def test_loader_reports_the_error_json_loads_gives():
     for line in ('{"id": 0} 5', '{"a": 1}  {"b": 2}', '\ufeff{"a": 1}', "{not json", "1 2", '"a" x'):
         with pytest.raises(json.JSONDecodeError) as want:

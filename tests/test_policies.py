@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from conftest import inst_of, mk, value_order_held
+from conftest import heads_of, inst_of, mk, value_order_held
 from mgsched.model import PHI, UNBOUNDED, Instance, Packet
 from mgsched.offline import brute_force_optimal
 from mgsched.policies import (
@@ -16,11 +16,12 @@ from mgsched.policies import (
     mg_select,
     simulate,
 )
-from mgsched.provisional import EmptyScheduleError, optimal_provisional_schedule
+from mgsched.provisional import optimal_provisional_schedule
 
 
 def _schedule(*packets):
-    return optimal_provisional_schedule(list(packets), 1)
+    """The group heads of the optimal provisional schedule at t = 1."""
+    return heads_of(optimal_provisional_schedule(list(packets), 1))
 
 
 def test_params_validation():
@@ -61,25 +62,25 @@ def test_mg_sent_value_always_at_least_h_over_alpha():
         s = optimal_provisional_schedule(pending, 1)
         alpha = rng.choice([1.0, 1.25, PHI, 2.0, PHI**2])
         beta = min(alpha, rng.choice([1.0, 1.2, PHI]))
-        chosen = mg_select(s, PolicyParams.mg(alpha, beta))
-        top = max(p.value for p, _ in s.entries)
+        chosen = mg_select(heads_of(s), PolicyParams.mg(alpha, beta))
+        top = max(p.value for p in s)
         assert chosen.value >= top / alpha
 
 
 def test_edf_alpha_one_is_greedy():
     pending = [mk(0, 1, 9, 5.0), mk(1, 1, 1, 3.0)]
-    assert edf_alpha_select(pending, 1, 1.0).id == 0
+    assert edf_alpha_select(pending, 1.0).id == 0
 
 
 def test_edf_alpha_threshold_example():
     pending = [mk(0, 1, 1, 1.0), mk(1, 1, 5, 2.0)]
-    assert edf_alpha_select(pending, 1, 2.0).id == 0
+    assert edf_alpha_select(pending, 2.0).id == 0
 
 
 def test_edf_singleton_and_empty():
-    assert edf_alpha_select([mk(0, 1, 1, 1.0)], 1, 3.0).id == 0
+    assert edf_alpha_select([mk(0, 1, 1, 1.0)], 3.0).id == 0
     with pytest.raises(EmptyBufferError):
-        edf_alpha_select([], 1, 2.0)
+        edf_alpha_select([], 2.0)
 
 
 def test_greedy_examples():
@@ -87,7 +88,7 @@ def test_greedy_examples():
     assert mg_select(_schedule(mk(0, 1, 9, 5.0), mk(1, 1, 1, 3.0)), greedy).id == 0
     assert mg_select(_schedule(mk(0, 1, 9, 5.0), mk(1, 1, 1, 5.0)), greedy).id == 1  # tie: earlier deadline
     assert mg_select(_schedule(mk(0, 1, 9, 5.0)), greedy).id == 0
-    with pytest.raises(EmptyScheduleError):
+    with pytest.raises(EmptyBufferError):
         mg_select(_schedule(), greedy)
 
 
@@ -155,7 +156,7 @@ def test_simulate_unbounded_alpha_sends_schedule_head():
             if step.sent_id is None:
                 assert not pending
                 continue
-            head = optimal_provisional_schedule(pending, step.t).entries[0][0]
+            head = optimal_provisional_schedule(pending, step.t)[0]
             assert step.sent_id == head.id
             pending.remove(head)
 

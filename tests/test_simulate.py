@@ -4,6 +4,7 @@ step and rebuilds the optimal provisional schedule from scratch each time."""
 from __future__ import annotations
 
 import io
+import math
 from random import Random
 
 import pytest
@@ -69,10 +70,10 @@ def reference_steps(inst: Instance, params: PolicyParams):
             continue
         schedule = optimal_provisional_schedule(buffer, t)
         if params.kind is PolicyKind.MG:
-            chosen = _mg_reference(schedule.packets, params)
+            chosen = _mg_reference(schedule, params)
         else:
-            chosen = edf_alpha_select(buffer, t, params.alpha)
-        steps.append(StepRecord(t, chosen.id, chosen.value, len(buffer), schedule.total_value))
+            chosen = edf_alpha_select(buffer, params.alpha)
+        steps.append(StepRecord(t, chosen.id, chosen.value, len(buffer), math.fsum(p.value for p in schedule)))
         buffer.remove(chosen)
         total += chosen.value
         t += 1
