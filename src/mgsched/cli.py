@@ -117,9 +117,11 @@ def build_parser() -> _Parser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--n", type=int, default=40)
     sw.add_argument("--max-slack", type=int, default=8)
+    # With none of these three, the sweep runs the table-1 cells; otherwise
+    # every cell runs the one policy they give, alpha and beta defaulting to phi.
     sw.add_argument("--policy", choices=POLICY_CHOICES, default=None)
-    sw.add_argument("--alpha", default="phi")
-    sw.add_argument("--beta", default="phi")
+    sw.add_argument("--alpha", default=None, help="float, or inf / phi / phi2 (default phi)")
+    sw.add_argument("--beta", default=None, help="float, or phi / phi2 (default phi)")
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--csv-out", default=None)
 
@@ -197,7 +199,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.variants.strip() == "all" and args.policy is None:
+    if args.variants.strip() == "all" and (args.policy, args.alpha, args.beta) == (None, None, None):
         cells = table1_cells(n=args.n, max_slack=args.max_slack)
     else:
         names = list(ALL_VARIANTS) if args.variants.strip() == "all" else [
@@ -208,6 +210,10 @@ def _cmd_sweep(args) -> int:
         for name in names:
             if name not in ALL_VARIANTS:
                 raise _UsageError(f"unknown variant {name!r}")
+        if args.alpha is None:
+            args.alpha = "phi"
+        if args.beta is None:
+            args.beta = "phi"
         params = _policy_from_args(args)
         cells = [SweepCell(name, params, args.n, args.max_slack) for name in names]
     report = sweep(cells, trials=args.trials, seed=args.seed, jobs=args.jobs)

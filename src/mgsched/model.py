@@ -110,24 +110,36 @@ class Violation:
 
 
 def validate_instance(packets: Iterable[Packet]) -> list[Violation]:
-    """Check packet and instance invariants; an empty list means valid."""
+    """Check packet and instance invariants; an empty list means valid.
+
+    A bool is no release, as in the loader, though Python counts it as an int.
+    """
     violations: list[Violation] = []
     seen: set[int] = set()
+    values: list[float] = []
     for p in packets:
         if p.id in seen:
             violations.append(Violation(p.id, "duplicate-id", f"id {p.id} appears more than once"))
         seen.add(p.id)
-        if not isinstance(p.release, int) or p.release < 1:
+        if type(p.release) is not int:
+            violations.append(Violation(p.id, "non-integer-release", f"release {p.release!r} not an integer"))
+        elif p.release < 1:
             violations.append(Violation(p.id, "release-before-one", f"release {p.release} < 1"))
         if not (isinstance(p.value, (int, float)) and math.isfinite(p.value) and p.value > 0):
             violations.append(Violation(p.id, "non-positive-value", f"value {p.value} not a positive finite real"))
+        else:
+            values.append(p.value)
         if p.deadline != UNBOUNDED:
-            if p.deadline != int(p.deadline):
+            if p.deadline % 1:  # a fraction, or NaN for NaN and -inf
                 violations.append(Violation(p.id, "non-integer-deadline", f"deadline {p.deadline} not an integer"))
             if p.deadline < p.release:
                 violations.append(
                     Violation(p.id, "deadline-before-release", f"deadline {p.deadline} < release {p.release}")
                 )
+    try:  # the values are finite, so fsum either rounds their exact sum or raises
+        math.fsum(values)
+    except OverflowError:  # a schedule's value would be no float
+        violations.append(Violation(None, "value-sum-overflow", "the values sum past the float range"))
     return violations
 
 

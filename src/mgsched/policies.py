@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from .model import UNBOUNDED, Instance, Packet
 from .provisional import IncrementalSchedule, canonical_key
@@ -69,8 +69,7 @@ class EmptyBufferError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     sent_id: int | None
     sent_value: float
@@ -117,7 +116,7 @@ def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
     if not heads:
         raise EmptyBufferError("provisional schedule is empty")
     e = heads[0]
-    top = max(p.value for p in heads)
+    top = max([p.value for p in heads])
     h_over_alpha = 0.0 if params.alpha == UNBOUNDED else top / params.alpha
     if e.value >= h_over_alpha:
         return e
@@ -168,6 +167,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     dropped: list[int] = []
     total = 0.0
 
+    mg = params.kind is PolicyKind.MG
     t = 1
     while releases or schedule.pending_count:
         if releases and releases[-1] == t:
@@ -178,7 +178,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
             schedule = IncrementalSchedule(t)
             continue
 
-        if params.kind is PolicyKind.MG:
+        if mg:
             chosen = mg_select(schedule.group_heads(), params)
         else:
             # A deadline's first packet has its highest value and comes first

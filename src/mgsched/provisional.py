@@ -13,8 +13,11 @@ packets arrive, leave and time advances, and is what the simulator uses.
 Packets with the same deadline lie in the same feasibility constraints, so the
 schedule keeps a prefix of each deadline's pending packets taken in (-value,
 id) order.  IncrementalSchedule therefore stores, per distinct pending
-deadline, those packets in that order and the length of the scheduled prefix;
-an event costs O(G) for G distinct pending deadlines.
+deadline, those packets in that order, their exact integer keys (-units, id)
+in the same order, and the length of the scheduled prefix, plus a running
+count of scheduled packets; an event costs O(G) for G distinct pending
+deadlines.  A packet's value in units (whole multiples of 2**-1074) lives only
+in its key, so insert and remove bisect the keys in C, with no key function.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ def _units(value: float) -> int:
     """`value` as an exact whole number of 2**-1074, the smallest float step."""
     n, d = value.as_integer_ratio()  # d is a power of two, at most 2**1074
     return n << (1075 - d.bit_length())
+
+
+_UNIT_SCALE = 1 << 1074  # units per 1.0
 
 
 def _latest_free(parent: list[int], s: int) -> int:
@@ -90,7 +96,14 @@ class IncrementalSchedule:
     the greedy schedules a prefix of each deadline's pending packets taken in
     (-value, id) order: once it rejects one, it rejects every later one.  The
     store is therefore one list per distinct pending deadline, in that order,
-    with a count of its scheduled prefix.
+    with a count of its scheduled prefix.  Beside each list of packets is a
+    sorted list of their keys (-units, id), where units is the value as an
+    exact whole number of 2**-1074: units rise strictly with value, so the key
+    order is the (-value, id) order, and a packet's units are read from its
+    key, never stored elsewhere.  A running count of scheduled packets tells
+    whether any pending packet is rejected, and skips the scan for a tight
+    deadline when fewer packets are scheduled than there are slots up to the
+    first deadline it would look at.
 
     - insert: a packet behind a rejected packet of its own deadline is
       rejected.  Otherwise it closes a circuit iff some deadline D >= its own
@@ -105,30 +118,31 @@ class IncrementalSchedule:
     A deadline's last scheduled packet is its lowest and its first rejected
     packet its best; rejecting one or re-admitting one moves a count by one.
     So an event costs O(G) for G distinct pending deadlines, plus a bisection
-    and a list shift within the packet's own deadline.  Packets must be alive
-    at `time`.
+    of integer keys and a list shift within the packet's own deadline.
+    Packets must be alive at `time`.
 
-    The schedule's value is kept as one exact integer, in units of 2**-1074,
-    that changes whenever a packet joins or leaves the scheduled set; it is
-    rounded once when read, so it equals math.fsum of the scheduled values
-    on every Python version.
+    The schedule's value is kept as one exact integer, in units, that changes
+    whenever a packet joins or leaves the scheduled set; it is rounded once
+    when read, so it equals math.fsum of the scheduled values on every Python
+    version.
     """
 
     def __init__(self, time: int):
         self.time = time
         self.pending_count = 0  # pending packets, scheduled or rejected
         # Per distinct pending deadline, ascending (UNBOUNDED last): its
-        # packets in (-value, id) order, their values in _units, and how many
-        # of them, from the front, are scheduled.
+        # packets in (-value, id) order, their keys (-units, id) in the same
+        # order, and how many of them, from the front, are scheduled.
         self._deadlines: list[float] = []
         self._packets: list[list[Packet]] = []
-        self._values: list[list[int]] = []
+        self._keys: list[list[tuple[int, int]]] = []
         self._counts: list[int] = []
-        self._value = 0  # the scheduled packets' values, summed in _units
+        self._scheduled = 0  # sum(self._counts)
+        self._value = 0  # the scheduled packets' values, summed in units
 
     @property
     def total_value(self) -> float:
-        return self._value / (1 << 1074)
+        return self._value / _UNIT_SCALE
 
     def snapshot(self) -> tuple[Packet, ...]:
         """The schedule as optimal_provisional_schedule would return it."""
@@ -144,22 +158,28 @@ class IncrementalSchedule:
 
     def insert(self, p: Packet) -> None:
         """Add an arriving packet, rejecting the lowest of the circuit it closes."""
+        units = _units(p.value)
+        key = (-units, p.id)
         dl, d = self._deadlines, p.deadline
         j = bisect_left(dl, d)
-        if j == len(dl) or dl[j] != d:
-            dl.insert(j, d)
-            self._packets.insert(j, [])
-            self._values.insert(j, [])
-            self._counts.insert(j, 0)
-        i = bisect_left(self._packets[j], _priority(p), key=_priority)
-        units = _units(p.value)
-        self._packets[j].insert(i, p)
-        self._values[j].insert(i, units)
         self.pending_count += 1
-        if i > self._counts[j]:  # behind a rejected packet of its deadline
-            return
-        tight = None if d == UNBOUNDED else self._tight(j)[1]
+        if j < len(dl) and dl[j] == d:
+            keys = self._keys[j]
+            i = bisect_left(keys, key)
+            keys.insert(i, key)
+            self._packets[j].insert(i, p)
+            if i > self._counts[j]:  # behind a rejected packet of its deadline
+                return
+        else:
+            dl.insert(j, d)
+            self._packets.insert(j, [p])
+            self._keys.insert(j, [key])
+            self._counts.insert(j, 0)
+        # No deadline from d on is tight while fewer packets are scheduled
+        # than there are slots up to d; that holds for UNBOUNDED too.
+        tight = None if self._scheduled < d - self.time + 1 else self._tight(j)[1]
         self._counts[j] += 1
+        self._scheduled += 1
         self._value += units
         if tight is not None:
             self._reject_lowest_through(tight)
@@ -167,21 +187,24 @@ class IncrementalSchedule:
     def remove(self, p: Packet) -> None:
         """Delete a pending packet; a rejected one may take a freed place."""
         j = bisect_left(self._deadlines, p.deadline)
-        group = self._packets[j]
-        i = bisect_left(group, _priority(p), key=_priority)
-        units = self._values[j].pop(i)
+        keys, group = self._keys[j], self._packets[j]
+        # The selectors send a deadline's first packet: no key to rebuild.
+        i = 0 if group[0] is p else bisect_left(keys, (-_units(p.value), p.id))
+        neg_units = keys.pop(i)[0]
         del group[i]
         self.pending_count -= 1
         if i < self._counts[j]:
             self._counts[j] -= 1
-            self._value -= units
-            if sum(self._counts) < self.pending_count:  # some packet is rejected
+            self._scheduled -= 1
+            self._value += neg_units
+            if self._scheduled < self.pending_count:  # some packet is rejected
                 best = self._best_rejected_after(self._tight(j)[0])
                 if best is not None:
-                    self._value += self._values[best][self._counts[best]]
+                    self._value -= self._keys[best][self._counts[best]][0]
                     self._counts[best] += 1
-        if not group:
-            del self._deadlines[j], self._packets[j], self._values[j], self._counts[j]
+                    self._scheduled += 1
+        if not keys:
+            del self._deadlines[j], self._packets[j], self._keys[j], self._counts[j]
 
     def advance(self) -> list[int]:
         """Move to the next step; return the ids of the packets that expire, sorted."""
@@ -190,12 +213,13 @@ class IncrementalSchedule:
             self._reject_lowest_through(tight)
         self.time += 1
         # With the phantom placed, every scheduled deadline is >= time, so
-        # only rejected packets expire, whole deadlines at a time.
+        # only rejected packets expire, whole deadlines at a time, and the
+        # scheduled count stays.
         expired: list[int] = []
         dl = self._deadlines
         while dl and dl[0] < self.time:
-            del dl[0], self._values[0], self._counts[0]
-            expired.extend(q.id for q in self._packets.pop(0))
+            del dl[0], self._packets[0], self._counts[0]
+            expired.extend(key[1] for key in self._keys.pop(0))
         self.pending_count -= len(expired)
         expired.sort()
         return expired
@@ -203,8 +227,11 @@ class IncrementalSchedule:
     def _tight(self, j: int) -> tuple[int, int | None]:
         """Indices of the last tight deadline before index j (-1 if none) and
         of the first tight deadline from index j on (None if none)."""
-        below, used, limit = -1, 0, self.time - 1
-        for k, (d, n) in enumerate(zip(self._deadlines, self._counts)):
+        dl, limit = self._deadlines, self.time - 1
+        if not dl or self._scheduled < dl[0] - limit:  # too few packets to fill any
+            return -1, None
+        below, used = -1, 0
+        for k, (d, n) in enumerate(zip(dl, self._counts)):
             used += n
             if used == d - limit:  # never for UNBOUNDED
                 if k >= j:
@@ -215,14 +242,21 @@ class IncrementalSchedule:
     def _reject_lowest_through(self, j: int) -> None:
         """Reject the lowest-priority scheduled packet with deadline index up
         to j: the last scheduled packet of some deadline."""
-        groups = zip(self._packets[: j + 1], self._counts)
-        k = max((_priority(g[n - 1]), k) for k, (g, n) in enumerate(groups) if n)[1]
-        self._counts[k] -= 1
-        self._value -= self._values[k][self._counts[k]]
+        # The lowest has the highest -units; on a tie, the later deadline.
+        lowest, worst = -1, None
+        for k, (keys, n) in enumerate(zip(self._keys[: j + 1], self._counts)):
+            if n and (worst is None or keys[n - 1][0] >= worst):
+                lowest, worst = k, keys[n - 1][0]
+        self._counts[lowest] -= 1
+        self._scheduled -= 1
+        self._value += worst
 
     def _best_rejected_after(self, j: int) -> int | None:
         """Index of the deadline after index j holding the highest-priority
         rejected packet (the first rejected packet of some deadline), if any."""
-        groups = zip(self._packets[j + 1 :], self._counts[j + 1 :])
-        firsts = [(_priority(g[n]), k) for k, (g, n) in enumerate(groups, j + 1) if n < len(g)]
-        return min(firsts)[1] if firsts else None
+        # The best has the lowest -units; on a tie, the earlier deadline.
+        best, top = None, None
+        for k, (keys, n) in enumerate(zip(self._keys[j + 1 :], self._counts[j + 1 :]), j + 1):
+            if n < len(keys) and (top is None or keys[n][0] < top):
+                best, top = k, keys[n][0]
+        return best

@@ -126,6 +126,25 @@ def test_sweep_all_produces_nine_rows(tmp_path, capsys):
     assert lines[1].startswith("general,")
 
 
+def test_sweep_policy_flags_set_every_cell(capsys):
+    # any of --policy, --alpha and --beta replaces the table-1 cells with one policy in every cell;
+    # no --policy means MG, and alpha and beta default to phi
+    base = ["sweep", "--trials", "3", "--n", "8"]
+    for flags, policy in (
+        (["--alpha", "2", "--beta", "1"], "mg(a=2, b=1)"),
+        (["--alpha", "2"], "mg(a=2, b=1.61803)"),
+        (["--beta", "1"], "mg(a=1.61803, b=1)"),
+        (["--policy", "mg"], "mg(a=1.61803, b=1.61803)"),
+    ):
+        assert main(base + flags) == EXIT_OK, flags
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 9 and all(policy in row for row in rows), rows
+    assert main(base + ["--alpha", "2", "--beta", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert main(base + ["--policy", "mg", "--alpha", "2", "--beta", "1"]) == EXIT_OK
+    assert out == capsys.readouterr().out
+
+
 def test_sweep_jobs_invariance(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["sweep", "--variants", "general,agreeable-deadline", "--trials", "20", "--seed", "2", "--n", "8"]
@@ -221,6 +240,13 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
             assert main([command, "--in", str(bad)]) == EXIT_VALIDATION, line
             err = capsys.readouterr().err
             assert "line 2" in err and expect in err, err
+    # each value is finite, but their sum is not a float
+    bad.write_text('{"id": 0, "release": 1, "deadline": 3, "value": 1e308}\n'
+                   '{"id": 1, "release": 1, "deadline": 3, "value": 1e308}\n')
+    for command in ("run", "opt", "ratio"):
+        assert main([command, "--in", str(bad)]) == EXIT_VALIDATION, command
+        err = capsys.readouterr().err
+        assert "validation error" in err and "value-sum-overflow" in err, err
 
 
 def test_sweep_rejects_zero_trials(capsys):

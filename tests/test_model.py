@@ -64,8 +64,8 @@ _any_packets = st.lists(
     st.builds(
         Packet,
         id=st.integers(0, 2),
-        release=st.integers(-1, 4),
-        deadline=st.one_of(st.integers(-1, 6), st.just(UNBOUNDED)),
+        release=st.one_of(st.integers(-1, 4), st.just(True)),  # a bool is no release
+        deadline=st.one_of(st.integers(-1, 6), st.sampled_from((UNBOUNDED, math.nan, -math.inf))),
         value=st.sampled_from((-1.0, 0.0, 0.5, math.nan, math.inf)),
     ),
     max_size=4,

@@ -135,11 +135,13 @@ def test_adding_packet_never_decreases_value():
 
 
 # One event of a random buffer history: (kind, deadline offset, value, pick).
-# Offset 6 stands for UNBOUNDED; three values make equal values common.
+# Offset 6 stands for UNBOUNDED; six values make equal values common, and the
+# smallest float, the float just above 1 and 1e300 test the exact keys and
+# total at both ends of the float range.
 _event = st.tuples(
     st.sampled_from(["arrive", "arrive", "arrive", "send", "discard", "step"]),
     st.integers(0, 6),
-    st.integers(1, 3),
+    st.sampled_from([1.0, 2.0, 3.0, 5e-324, 1.0 + 2**-52, 1e300]),
     st.integers(0, 10**6),
 )
 
@@ -152,7 +154,7 @@ def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
     pending: list[Packet] = []
     for pid, (kind, offset, value, pick) in enumerate(events):
         if kind == "arrive":
-            p = Packet(pid, t, UNBOUNDED if offset == 6 else t + offset, float(value))
+            p = Packet(pid, t, UNBOUNDED if offset == 6 else t + offset, value)
             schedule.insert(p)
             pending.append(p)
         elif kind == "send" and pending:  # a scheduled packet leaves
