@@ -5,6 +5,13 @@ Variant generators build the requested pairwise property by construction
 partners) and are pure functions of their spec.  Values are drawn from a
 dyadic grid so that value sums and policy comparisons are float-exact.
 
+Every random integer comes from the bound getrandbits of Random(spec.seed),
+by the rule Random.randrange(w) follows on Python 3.10 to 3.13: draw
+w.bit_length() bits until the result is below w (so even w = 1 uses bits).
+The draws are made in a fixed order, so an instance's bytes depend only on
+the seed's Mersenne Twister words, which Python keeps stable, and not on
+randrange's private algorithm, which it does not promise to keep.
+
 The adversarial family drives MG(phi, phi) toward competitive ratio 2: each
 stage floods cheap same-step expiring packets (kept first in the provisional
 schedule), mid-value packets whose deadlines all land after the last stage,
@@ -17,14 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate
 from random import Random
+from typing import Callable
 
 from .model import ALL_VARIANTS, PHI, UNBOUNDED, VARIANT_GENERAL, VARIANT_RULES, Instance, Packet
 
 #: Values lie on the grid lo + k * (hi - lo) / VALUE_GRID_STEPS, k = 0..VALUE_GRID_STEPS.
 VALUE_GRID_STEPS = 4096
 _VALUE_LO, _VALUE_HI = 0.5, 8.5
+_GRID_WIDTH = VALUE_GRID_STEPS + 1  # k is drawn from range(_GRID_WIDTH)
+_GRID_BITS = _GRID_WIDTH.bit_length()
+_GRID_STEP = (_VALUE_HI - _VALUE_LO) / VALUE_GRID_STEPS
+
+_GetRandBits = Callable[[int], int]
 
 
 @dataclass(frozen=True)
@@ -39,113 +52,113 @@ class GenSpec:
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("n", "max_slack"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is no count, though Python counts it as an int
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if self.max_slack < 0:
             raise ValueError("max_slack must be >= 0")
 
 
-def _grid_value(rng: Random) -> float:
-    return _VALUE_LO + rng.randrange(VALUE_GRID_STEPS + 1) * ((_VALUE_HI - _VALUE_LO) / VALUE_GRID_STEPS)
+def _draws(getrandbits: _GetRandBits, width: int, count: int) -> list[int]:
+    """`count` draws from range(width), each made as Random.randrange(width)
+    makes it; _build_general inlines the same loop."""
+    bits = width.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
 
 
-def _release_window(n: int) -> int:
-    return max(1, (2 * n) // 3)
+def _grid_values(getrandbits: _GetRandBits, count: int) -> list[float]:
+    return [_VALUE_LO + k * _GRID_STEP for k in _draws(getrandbits, _GRID_WIDTH, count)]
 
 
-def _releases(rng: Random, spec: GenSpec) -> list[int]:
-    window = _release_window(spec.n)
-    return sorted(rng.randint(1, window) for _ in range(spec.n))
+def _releases(getrandbits: _GetRandBits, n: int) -> list[int]:
+    """n releases drawn from 1..max(1, 2n // 3), sorted."""
+    return [r + 1 for r in sorted(_draws(getrandbits, max(1, (2 * n) // 3), n))]
 
 
-def _release_groups(releases: list[int]) -> list[tuple[int, int]]:
-    """(release, multiplicity) in increasing release order."""
-    return [(r, len(list(g))) for r, g in groupby(releases)]
-
-
-def _sorted_class_values(rng: Random, count: int, increasing: bool) -> list[float]:
-    values = sorted(_grid_value(rng) for _ in range(count))
+def _sorted_class_values(getrandbits: _GetRandBits, count: int, increasing: bool) -> list[float]:
+    values = sorted(_grid_values(getrandbits, count))
     return values if increasing else values[::-1]
 
 
-def _build_general(rng: Random, spec: GenSpec) -> list[Packet]:
+def _build_general(getrandbits: _GetRandBits, spec: GenSpec) -> list[Packet]:
+    slack_width = spec.max_slack + 1
+    slack_bits = slack_width.bit_length()
     packets = []
-    for i, r in enumerate(_releases(rng, spec)):
-        d = r + rng.randint(0, spec.max_slack)
-        packets.append(Packet(i, r, d, _grid_value(rng)))
+    for i, r in enumerate(_releases(getrandbits, spec.n)):
+        # Each packet's slack, then its grid value: _draws' loop, inlined.
+        s = getrandbits(slack_bits)
+        while s >= slack_width:
+            s = getrandbits(slack_bits)
+        k = getrandbits(_GRID_BITS)
+        while k >= _GRID_WIDTH:
+            k = getrandbits(_GRID_BITS)
+        packets.append(Packet(i, r, r + s, _VALUE_LO + k * _GRID_STEP))
     return packets
 
 
-def _build_deadline_coupled(rng: Random, spec: GenSpec, increasing: bool) -> list[Packet]:
+def _build_deadline_coupled(getrandbits: _GetRandBits, spec: GenSpec, increasing: bool) -> list[Packet]:
     """Deadline follows release order; equal releases share a deadline."""
-    groups = _release_groups(_releases(rng, spec))
-    deadlines: list[int] = []
+    releases = _releases(getrandbits, spec.n)
+    distinct = sorted(set(releases))
     if increasing:
-        d = 0
-        for r, _ in groups:
-            d = max(d, r + rng.randint(0, spec.max_slack))
-            deadlines.append(d)
+        slacks = _draws(getrandbits, spec.max_slack + 1, len(distinct))
+        deadlines = list(accumulate((r + s for r, s in zip(distinct, slacks)), max))
     else:
-        # Walk groups from the latest release backwards; every deadline must
-        # cover the largest release, so the tail anchors the whole chain.
-        r_max = groups[-1][0] if groups else 1
-        rev: list[int] = []
-        d = r_max + rng.randint(0, spec.max_slack)
-        for _ in reversed(groups):
-            rev.append(d)
-            d += rng.randint(0, 2)
-        deadlines = rev[::-1]
-    packets = []
-    i = 0
-    for (r, count), d in zip(groups, deadlines):
-        for _ in range(count):
-            packets.append(Packet(i, r, d, _grid_value(rng)))
-            i += 1
-    return packets
+        # Walk releases from the latest backwards; every deadline must cover
+        # the largest release, so the tail anchors the whole chain.  The last
+        # of the len(distinct) steps is drawn but never used.
+        (slack,) = _draws(getrandbits, spec.max_slack + 1, 1)
+        steps = _draws(getrandbits, 3, len(distinct))
+        deadlines = list(accumulate(steps[:-1], initial=distinct[-1] + slack))[::-1]
+    deadline_of = dict(zip(distinct, deadlines))
+    values = _grid_values(getrandbits, spec.n)
+    return [Packet(i, r, deadline_of[r], v) for i, (r, v) in enumerate(zip(releases, values))]
 
 
-def _build_value_coupled(rng: Random, spec: GenSpec, increasing: bool) -> list[Packet]:
+def _build_value_coupled(getrandbits: _GetRandBits, spec: GenSpec, increasing: bool) -> list[Packet]:
     """Value follows release order; equal releases share a value."""
-    groups = _release_groups(_releases(rng, spec))
-    class_values = _sorted_class_values(rng, len(groups), increasing)
-    packets = []
-    i = 0
-    for (r, count), v in zip(groups, class_values):
-        for _ in range(count):
-            packets.append(Packet(i, r, r + rng.randint(0, spec.max_slack), v))
-            i += 1
-    return packets
+    releases = _releases(getrandbits, spec.n)
+    distinct = sorted(set(releases))
+    value_of = dict(zip(distinct, _sorted_class_values(getrandbits, len(distinct), increasing)))
+    slacks = _draws(getrandbits, spec.max_slack + 1, spec.n)
+    return [Packet(i, r, r + s, value_of[r]) for i, (r, s) in enumerate(zip(releases, slacks))]
 
 
-def _build_key_value_coupled(rng: Random, spec: GenSpec, key: str, increasing: bool) -> list[Packet]:
+def _build_key_value_coupled(getrandbits: _GetRandBits, spec: GenSpec, key: str, increasing: bool) -> list[Packet]:
     """Value follows deadline (or slack) order; equal keys share a value."""
-    base = []
-    for i, r in enumerate(_releases(rng, spec)):
-        s = rng.randint(0, spec.max_slack)
-        base.append((i, r, r + s, s))
-    keys = sorted({(d if key == "deadline" else s) for _, _, d, s in base})
-    class_values = dict(zip(keys, _sorted_class_values(rng, len(keys), increasing)))
-    return [
-        Packet(i, r, d, class_values[d if key == "deadline" else s])
-        for i, r, d, s in base
-    ]
+    releases = _releases(getrandbits, spec.n)
+    slacks = _draws(getrandbits, spec.max_slack + 1, spec.n)
+    deadlines = [r + s for r, s in zip(releases, slacks)]
+    keys = deadlines if key == "deadline" else slacks
+    distinct = sorted(set(keys))
+    value_of = dict(zip(distinct, _sorted_class_values(getrandbits, len(distinct), increasing)))
+    return [Packet(i, r, d, value_of[k]) for i, (r, d, k) in enumerate(zip(releases, deadlines, keys))]
 
 
 def generate(spec: GenSpec) -> Instance:
     """Instance satisfying spec.variant by construction; same seed, same bytes."""
-    rng = Random(spec.seed)
+    getrandbits = Random(spec.seed).getrandbits
     if spec.n == 0:
         packets: list[Packet] = []
     elif spec.variant == VARIANT_GENERAL:
-        packets = _build_general(rng, spec)
+        packets = _build_general(getrandbits, spec)
     else:
         key, coupled, increasing = VARIANT_RULES[spec.variant]
         if coupled == "deadline":
-            packets = _build_deadline_coupled(rng, spec, increasing)
+            packets = _build_deadline_coupled(getrandbits, spec, increasing)
         elif key == "release":
-            packets = _build_value_coupled(rng, spec, increasing)
+            packets = _build_value_coupled(getrandbits, spec, increasing)
         else:
-            packets = _build_key_value_coupled(rng, spec, key, increasing)
+            packets = _build_key_value_coupled(getrandbits, spec, key, increasing)
     meta = {
         "variant": spec.variant,
         "n": spec.n,

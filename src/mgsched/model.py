@@ -112,30 +112,40 @@ class Violation:
 def validate_instance(packets: Iterable[Packet]) -> list[Violation]:
     """Check packet and instance invariants; an empty list means valid.
 
-    A bool is no release, as in the loader, though Python counts it as an int.
+    Ids, releases and bounded deadlines must be integers, as in the loader; a
+    bool is none of them, though Python counts it as an int.  A deadline may
+    also be an integer-valued float.  A field of another type is a violation,
+    never a TypeError.
     """
     violations: list[Violation] = []
     seen: set[int] = set()
     values: list[float] = []
     for p in packets:
-        if p.id in seen:
-            violations.append(Violation(p.id, "duplicate-id", f"id {p.id} appears more than once"))
-        seen.add(p.id)
-        if type(p.release) is not int:
-            violations.append(Violation(p.id, "non-integer-release", f"release {p.release!r} not an integer"))
-        elif p.release < 1:
-            violations.append(Violation(p.id, "release-before-one", f"release {p.release} < 1"))
-        if not (isinstance(p.value, (int, float)) and math.isfinite(p.value) and p.value > 0):
-            violations.append(Violation(p.id, "non-positive-value", f"value {p.value} not a positive finite real"))
+        pid, release, deadline, value = p.id, p.release, p.deadline, p.value
+        if type(pid) is not int:  # a str or bool id breaks the id order; a list is unhashable
+            violations.append(Violation(pid, "non-integer-id", f"id {pid!r} not an integer"))
+        elif pid in seen:
+            violations.append(Violation(pid, "duplicate-id", f"id {pid} appears more than once"))
         else:
-            values.append(p.value)
-        if p.deadline != UNBOUNDED:
-            if p.deadline % 1:  # a fraction, or NaN for NaN and -inf
-                violations.append(Violation(p.id, "non-integer-deadline", f"deadline {p.deadline} not an integer"))
-            if p.deadline < p.release:
-                violations.append(
-                    Violation(p.id, "deadline-before-release", f"deadline {p.deadline} < release {p.release}")
-                )
+            seen.add(pid)
+        if type(release) is not int:
+            violations.append(Violation(pid, "non-integer-release", f"release {release!r} not an integer"))
+        elif release < 1:
+            violations.append(Violation(pid, "release-before-one", f"release {release} < 1"))
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            violations.append(Violation(pid, "non-positive-value", f"value {value} not a positive finite real"))
+        else:
+            values.append(value)
+        if type(deadline) is int:  # nearly every deadline: skip the slower tests
+            number = True
+        elif deadline == UNBOUNDED:
+            number = False  # it is never before its release
+        else:
+            number = isinstance(deadline, (int, float))
+            if not number or type(deadline) is bool or deadline % 1:  # % 1 is NaN for NaN and -inf
+                violations.append(Violation(pid, "non-integer-deadline", f"deadline {deadline!r} not an integer"))
+        if number and (type(release) is int or isinstance(release, (int, float))) and deadline < release:
+            violations.append(Violation(pid, "deadline-before-release", f"deadline {deadline} < release {release}"))
     try:  # the values are finite, so fsum either rounds their exact sum or raises
         math.fsum(values)
     except OverflowError:  # a schedule's value would be no float

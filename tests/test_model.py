@@ -52,6 +52,24 @@ def test_duplicate_id_and_bad_release():
     assert "duplicate-id" in rules and "release-before-one" in rules
 
 
+@pytest.mark.parametrize(
+    "packet, rules",
+    [
+        (Packet(0, "1", 3, 1.0), ["non-integer-release"]),
+        (Packet(0, None, 3, 1.0), ["non-integer-release"]),
+        (Packet(0, 1, "3", 1.0), ["non-integer-deadline"]),
+        (Packet(0, 1, None, 1.0), ["non-integer-deadline"]),
+        (Packet(0, 1, True, 1.0), ["non-integer-deadline"]),
+        (Packet(0, "1", "%d", 1.0), ["non-integer-release", "non-integer-deadline"]),
+        (Packet([0], 1, 3, 1.0), ["non-integer-id"]),
+        (Packet("0", 1, 3, 1.0), ["non-integer-id"]),
+        (Packet(True, 2, 1, 1.0), ["non-integer-id", "deadline-before-release"]),
+    ],
+)
+def test_mistyped_fields_are_violations_not_type_errors(packet, rules):
+    assert [v.rule for v in _violations(packet)] == rules
+
+
 def test_unbounded_deadline_is_valid_and_has_unbounded_slack():
     p = mk(0, 5, UNBOUNDED, 2.0)
     assert validate_instance((p,)) == []
@@ -63,9 +81,10 @@ def test_unbounded_deadline_is_valid_and_has_unbounded_slack():
 _any_packets = st.lists(
     st.builds(
         Packet,
-        id=st.integers(0, 2),
-        release=st.one_of(st.integers(-1, 4), st.just(True)),  # a bool is no release
-        deadline=st.one_of(st.integers(-1, 6), st.sampled_from((UNBOUNDED, math.nan, -math.inf))),
+        # A bool is no id, release or deadline, and neither is a str, None or an unhashable list.
+        id=st.one_of(st.integers(0, 2), st.sampled_from((True, "0", None)), st.builds(list)),
+        release=st.one_of(st.integers(-1, 4), st.sampled_from((True, "1", None))),
+        deadline=st.one_of(st.integers(-1, 6), st.sampled_from((UNBOUNDED, math.nan, -math.inf, True, "3", None))),
         value=st.sampled_from((-1.0, 0.0, 0.5, math.nan, math.inf)),
     ),
     max_size=4,
