@@ -12,8 +12,10 @@ Greedy (send a highest-value pending packet) is MG(1, 1), so it has no
 selector of its own: `mgsched --policy greedy` is an alias of that setting.
 
 The simulator is event-driven: it keeps one IncrementalSchedule up to date
-through arrivals, sends, expiries and time steps, and jumps over idle gaps.
-The trace stores only the steps that send; the idle rows are synthesized.
+through two events, insert for each arrival and send for the packet sent at
+each step (which also moves the clock and expires what is due), and jumps
+over idle gaps by moving the empty schedule's time.  The trace stores only
+the steps that send; the idle rows are synthesized.
 """
 
 from __future__ import annotations
@@ -147,9 +149,10 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
 
     Each step t: admit arrivals with release == t, then (buffer permitting)
     send the selector's packet, then let unsendable packets expire.  The
-    optimal provisional schedule is one IncrementalSchedule, updated per
-    event, never rebuilt; while the buffer is empty the run jumps to the next
-    release, so the cost follows the packet count, not the release span.
+    optimal provisional schedule is one IncrementalSchedule, updated by
+    insert and send, never rebuilt; while the buffer is empty the run jumps
+    to the next release, so the cost follows the packet count, not the
+    release span.
     Work-conserving and fully deterministic.
 
     The run ends when the buffer is empty and nothing is left to release, so
@@ -175,7 +178,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
                 schedule.insert(p)
         if not schedule.pending_count:
             t = releases[-1]  # jump the idle gap; SimulationTrace fills in its rows
-            schedule = IncrementalSchedule(t)
+            schedule.time = t
             continue
 
         if mg:
@@ -188,8 +191,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
 
         sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
         total += chosen.value
-        schedule.remove(chosen)
-        dropped.extend(schedule.advance())
+        dropped.extend(schedule.send(chosen))
         t += 1
 
     return SimulationTrace(tuple(sends), total, tuple(dropped))

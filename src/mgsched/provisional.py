@@ -7,17 +7,20 @@ deadline, ties broken by decreasing value, then by id for full determinism),
 and the packet at index i takes slot t + i.
 
 optimal_provisional_schedule rebuilds the schedule from scratch and is the
-reference oracle; IncrementalSchedule keeps the same schedule up to date as
-packets arrive, leave and time advances, and is what the simulator uses.
+reference oracle; IncrementalSchedule keeps the same schedule up to date
+through two events, a packet's arrival (insert) and the send that ends a step
+(send), and is what the simulator uses.
 
 Packets with the same deadline lie in the same feasibility constraints, so the
 schedule keeps a prefix of each deadline's pending packets taken in (-value,
 id) order.  IncrementalSchedule therefore stores, per distinct pending
 deadline, those packets in that order, their exact integer keys (-units, id)
 in the same order, and the length of the scheduled prefix, plus a running
-count of scheduled packets; an event costs O(G) for G distinct pending
-deadlines.  A packet's value in units (whole multiples of 2**-1074) lives only
-in its key, so insert and remove bisect the keys in C, with no key function.
+count of scheduled packets; an event costs at most O(G) for G distinct
+pending deadlines, and a send costs O(1) besides the list edits when no
+deadline ahead of the sent packet's is tight.  A packet's value in units
+(whole multiples of 2**-1074) lives only in its key, so insert and send bisect
+the keys in C, with no key function.
 """
 
 from __future__ import annotations
@@ -109,17 +112,33 @@ class IncrementalSchedule:
       rejected.  Otherwise it closes a circuit iff some deadline D >= its own
       is tight; the circuit is the newcomer plus every scheduled packet with
       deadline <= the first such D, and its lowest member is rejected.
-    - remove: deleting a scheduled packet unties every deadline from its own
-      on.  The best rejected packet with a deadline past the last tight
-      deadline below it then fits, and takes the freed place.
-    - advance: time t -> t+1 inserts a top-priority phantom with deadline t,
-      then rejected packets past their deadline expire.
+    - send(f) at time t: f leaves, the clock moves to t+1, and rejected
+      packets due at t expire.  At t+1 a deadline D has D - t slots.  For a
+      scheduled f with deadline d_f:
+      - Fast path: no deadline D < d_f is tight.  Then the next schedule is
+        S - f.  Every deadline from d_f on lost f, so it fits in one slot
+        fewer, and every deadline below d_f had a slot to spare.  A rejected
+        packet r was rejected at a tight deadline D >= d_r, which is then at
+        least d_f, so D stays tight at t+1; r still closes a circuit, made of
+        packets that all outranked it at t, and stays rejected.  Sending the
+        first scheduled packet always takes this path, and when it lies in
+        the first pending deadline no scan is made at all.
+      - Slow path: T1 is the first tight deadline and B the last one below
+        d_f, both found by one scan up to d_f.  Deleting f frees a place past
+        B, which the best rejected packet with a deadline past B takes; the
+        lost slot t then closes the circuit through T1 (as a top-priority
+        packet due at t would), so the lowest scheduled packet with deadline
+        <= T1 is rejected.  T1 <= B, so neither change moves what the other
+        reads.
+      A rejected f leaves the schedule as it is; only the lost slot t rejects
+      the lowest scheduled packet through the first tight deadline.
 
     A deadline's last scheduled packet is its lowest and its first rejected
     packet its best; rejecting one or re-admitting one moves a count by one.
-    So an event costs O(G) for G distinct pending deadlines, plus a bisection
-    of integer keys and a list shift within the packet's own deadline.
-    Packets must be alive at `time`.
+    So an event costs at most O(G) for G distinct pending deadlines, plus a
+    bisection of integer keys and a list shift within the packet's own
+    deadline.  Packets must be alive at `time`.  An empty schedule holds
+    nothing but its time, so the simulator sets `time` to jump an idle gap.
 
     The schedule's value is kept as one exact integer, in units, that changes
     whenever a packet joins or leaves the scheduled set; it is rounded once
@@ -177,67 +196,82 @@ class IncrementalSchedule:
             self._counts.insert(j, 0)
         # No deadline from d on is tight while fewer packets are scheduled
         # than there are slots up to d; that holds for UNBOUNDED too.
-        tight = None if self._scheduled < d - self.time + 1 else self._tight(j)[1]
+        tight = None if self._scheduled < d - self.time + 1 else self._first_tight(j)
         self._counts[j] += 1
         self._scheduled += 1
         self._value += units
         if tight is not None:
             self._reject_lowest_through(tight)
 
-    def remove(self, p: Packet) -> None:
-        """Delete a pending packet; a rejected one may take a freed place."""
-        j = bisect_left(self._deadlines, p.deadline)
+    def send(self, p: Packet) -> list[int]:
+        """Send pending packet p in slot `time`, then move to the next step;
+        return the ids of the packets that expire, sorted."""
+        dl, counts = self._deadlines, self._counts
+        j = bisect_left(dl, p.deadline)
         keys, group = self._keys[j], self._packets[j]
         # The selectors send a deadline's first packet: no key to rebuild.
         i = 0 if group[0] is p else bisect_left(keys, (-_units(p.value), p.id))
         neg_units = keys.pop(i)[0]
         del group[i]
         self.pending_count -= 1
-        if i < self._counts[j]:
-            self._counts[j] -= 1
+        scheduled = i < counts[j]
+        if scheduled:
+            counts[j] -= 1
             self._scheduled -= 1
             self._value += neg_units
-            if self._scheduled < self.pending_count:  # some packet is rejected
-                best = self._best_rejected_after(self._tight(j)[0])
-                if best is not None:
-                    self._value -= self._keys[best][self._counts[best]][0]
-                    self._counts[best] += 1
-                    self._scheduled += 1
         if not keys:
-            del self._deadlines[j], self._packets[j], self._keys[j], self._counts[j]
-
-    def advance(self) -> list[int]:
-        """Move to the next step; return the ids of the packets that expire, sorted."""
-        tight = self._tight(0)[1]  # the phantom, deadline = time, is due first
-        if tight is not None:
-            self._reject_lowest_through(tight)
+            del dl[j], self._packets[j], self._keys[j], counts[j]
+        if not scheduled:
+            first = self._first_tight(0)  # the lost slot `time` acts as a top packet due then
+        elif j:
+            first, last = self._tight_before(j)
+            if first is not None and self._scheduled < self.pending_count:
+                best = self._best_rejected_after(last)
+                if best is not None:
+                    self._value -= self._keys[best][counts[best]][0]
+                    counts[best] += 1
+                    self._scheduled += 1
+        else:
+            first = None  # no deadline is ahead of p's
+        if first is not None:
+            self._reject_lowest_through(first)
         self.time += 1
-        # With the phantom placed, every scheduled deadline is >= time, so
-        # only rejected packets expire, whole deadlines at a time, and the
-        # scheduled count stays.
+        # Every scheduled deadline is now >= time, so only rejected packets
+        # expire, whole deadlines at a time, and the scheduled count stays.
         expired: list[int] = []
-        dl = self._deadlines
         while dl and dl[0] < self.time:
-            del dl[0], self._packets[0], self._counts[0]
+            del dl[0], self._packets[0], counts[0]
             expired.extend(key[1] for key in self._keys.pop(0))
         self.pending_count -= len(expired)
         expired.sort()
         return expired
 
-    def _tight(self, j: int) -> tuple[int, int | None]:
-        """Indices of the last tight deadline before index j (-1 if none) and
-        of the first tight deadline from index j on (None if none)."""
+    def _first_tight(self, j: int) -> int | None:
+        """Index of the first tight deadline from index j on, or None."""
         dl, limit = self._deadlines, self.time - 1
         if not dl or self._scheduled < dl[0] - limit:  # too few packets to fill any
-            return -1, None
-        below, used = -1, 0
+            return None
+        used = 0
         for k, (d, n) in enumerate(zip(dl, self._counts)):
             used += n
-            if used == d - limit:  # never for UNBOUNDED
-                if k >= j:
-                    return below, k
-                below = k
-        return below, None
+            if used == d - limit and k >= j:  # never for UNBOUNDED
+                return k
+        return None
+
+    def _tight_before(self, j: int) -> tuple[int | None, int]:
+        """Indices of the first and the last tight deadline before index j > 0,
+        or (None, -1) if there is none."""
+        dl, limit = self._deadlines, self.time - 1
+        if self._scheduled < dl[0] - limit:  # too few packets to fill any
+            return None, -1
+        first, last, used = None, -1, 0
+        for k, d, n in zip(range(j), dl, self._counts):
+            used += n
+            if used == d - limit:
+                if first is None:
+                    first = k
+                last = k
+        return first, last
 
     def _reject_lowest_through(self, j: int) -> None:
         """Reject the lowest-priority scheduled packet with deadline index up

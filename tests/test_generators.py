@@ -7,8 +7,10 @@ from random import Random
 import pytest
 
 from mgsched.generators import (
+    VALUE_GRID_STEPS,
     GenSpec,
     LowerBoundSpec,
+    _build_general,
     _draws,
     generate,
     generate_lower_bound,
@@ -112,6 +114,32 @@ def test_value_gaps_respect_grid():
     values = sorted({p.value for p in inst.packets})
     gaps = [b - a for a, b in zip(values, values[1:])]
     assert all(g >= 1e-9 for g in gaps)
+
+
+def test_general_redraws_a_grid_draw_past_the_top():
+    # One packet at n = 1, max_slack 0: a 1-bit release draw and a 1-bit
+    # slack draw, then 13-bit grid draws until one is at most VALUE_GRID_STEPS.
+    script = [(1, 0), (1, 0), (13, VALUE_GRID_STEPS + 1), (13, VALUE_GRID_STEPS)]
+
+    def getrandbits(bits):
+        want_bits, r = script.pop(0)
+        assert bits == want_bits
+        return r
+
+    (p,) = _build_general(getrandbits, GenSpec("general", 1, max_slack=0))
+    assert script == []
+    assert p.value == 8.5  # the grid's top, k = VALUE_GRID_STEPS
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_generated_values_lie_on_the_grid_inside_value_range(variant):
+    for seed in range(4):
+        inst = generate(GenSpec(variant, 3000, max_slack=5, seed=seed))
+        lo, hi = inst.meta["value_range"]
+        step = (hi - lo) / VALUE_GRID_STEPS  # a power of two, so k below is exact
+        for p in inst.packets:
+            k = (p.value - lo) / step
+            assert lo <= p.value <= hi and k == int(k), (seed, p)
 
 
 # --- adversarial lower-bound family ---------------------------------------

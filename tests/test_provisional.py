@@ -139,11 +139,31 @@ def test_adding_packet_never_decreases_value():
 # smallest float, the float just above 1 and 1e300 test the exact keys and
 # total at both ends of the float range.
 _event = st.tuples(
-    st.sampled_from(["arrive", "arrive", "arrive", "send", "discard", "step"]),
+    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any"]),
     st.integers(0, 6),
     st.sampled_from([1.0, 2.0, 3.0, 5e-324, 1.0 + 2**-52, 1e300]),
     st.integers(0, 10**6),
 )
+
+
+def _assert_is_rebuild(schedule: IncrementalSchedule, pending: list[Packet], t: int) -> None:
+    want = optimal_provisional_schedule(pending, t)
+    assert schedule.time == t
+    assert schedule.snapshot() == want
+    assert schedule.total_value == value_of(want)
+    assert schedule.group_heads() == heads_of(want)
+    assert schedule.pending_count == len(pending)
+    heads: dict[float, Packet] = {}
+    for p in sorted(pending, key=canonical_key):
+        heads.setdefault(p.deadline, p)
+    assert schedule.heads() == list(heads.values())
+
+
+def _send(schedule: IncrementalSchedule, pending: list[Packet], p: Packet, t: int) -> list[Packet]:
+    """Send p at step t on both sides; return the pending packets left at t + 1."""
+    pending = [q for q in pending if q is not p]
+    assert schedule.send(p) == sorted(q.id for q in pending if q.deadline <= t)
+    return [q for q in pending if q.deadline > t]
 
 
 @settings(max_examples=400, deadline=None)
@@ -157,30 +177,57 @@ def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
             p = Packet(pid, t, UNBOUNDED if offset == 6 else t + offset, value)
             schedule.insert(p)
             pending.append(p)
-        elif kind == "send" and pending:  # a scheduled packet leaves
-            scheduled = schedule.snapshot()
-            p = scheduled[pick % len(scheduled)]
-            schedule.remove(p)
-            pending.remove(p)
-        elif kind == "discard" and pending:  # any pending packet leaves, rejected ones too
-            p = pending[pick % len(pending)]
-            schedule.remove(p)
-            pending.remove(p)
-        elif kind == "step":
-            expired = schedule.advance()
+        elif pending:
+            if kind == "send":  # a scheduled packet, as MG sends
+                scheduled = schedule.snapshot()
+                p = scheduled[pick % len(scheduled)]
+            else:  # any pending packet, rejected ones too, as EDF may send
+                p = pending[pick % len(pending)]
+            pending = _send(schedule, pending, p, t)
             t += 1
-            assert expired == sorted(p.id for p in pending if p.deadline < t)
-            pending = [p for p in pending if p.deadline >= t]
-        want = optimal_provisional_schedule(pending, t)
-        assert schedule.time == t
-        assert schedule.snapshot() == want
-        assert schedule.total_value == value_of(want)
-        assert schedule.group_heads() == heads_of(want)
-        assert schedule.pending_count == len(pending)
-        heads: dict[float, Packet] = {}
-        for p in sorted(pending, key=canonical_key):
-            heads.setdefault(p.deadline, p)
-        assert schedule.heads() == list(heads.values())
+        _assert_is_rebuild(schedule, pending, t)
+
+
+def _after_one_send(pending: list[Packet], sent_id: int) -> IncrementalSchedule:
+    schedule = IncrementalSchedule(1)
+    for p in pending:
+        schedule.insert(p)
+    _assert_is_rebuild(schedule, pending, 1)
+    sent = next(p for p in pending if p.id == sent_id)
+    _assert_is_rebuild(schedule, _send(schedule, pending, sent, 1), 2)
+    return schedule
+
+
+def test_send_with_no_tight_deadline_ahead_keeps_the_rest():
+    # Slots 1-3 hold a (deadline 2), f and g; b waits behind a at deadline 2,
+    # h behind f and g at 3.  Nothing before f's deadline is tight, so all
+    # that moves is f leaving.
+    a, b, f, g, h = mk(0, 1, 2, 4.0), mk(1, 1, 2, 1.0), mk(2, 1, 3, 5.0), mk(3, 1, 3, 3.0), mk(4, 1, 3, 2.0)
+    schedule = _after_one_send([a, b, f, g, h], sent_id=2)
+    assert [p.id for p in schedule.snapshot()] == [0, 3]
+
+
+def test_send_past_a_tight_deadline_readmits_and_rejects():
+    # a is due in slot 1, so sending f there loses a; f's place goes to h,
+    # the best packet waiting past a's deadline.
+    a, f, g, h = mk(0, 1, 1, 3.0), mk(1, 1, 3, 5.0), mk(2, 1, 3, 4.0), mk(3, 1, 3, 1.0)
+    schedule = _after_one_send([a, f, g, h], sent_id=1)
+    assert [p.id for p in schedule.snapshot()] == [2, 3]
+
+
+def test_send_past_two_tight_deadlines_rejects_through_the_first():
+    # Deadlines 1 and 2 are both tight ahead of f, nothing waits past them,
+    # and the slot-1 packet a is the one lost: not b, the cheapest through 2.
+    a, b, f = mk(0, 1, 1, 5.0), mk(1, 1, 2, 1.0), mk(2, 1, 4, 9.0)
+    schedule = _after_one_send([a, b, f], sent_id=2)
+    assert [p.id for p in schedule.snapshot()] == [1]
+
+
+def test_send_a_rejected_packet():
+    # r waits behind b at deadline 2; sending it in slot 1 loses a, due there.
+    a, b, r = mk(0, 1, 1, 5.0), mk(1, 1, 2, 4.0), mk(2, 1, 2, 1.0)
+    schedule = _after_one_send([a, b, r], sent_id=2)
+    assert [p.id for p in schedule.snapshot()] == [1]
 
 
 def test_group_heads_are_first_packet_of_each_deadline():

@@ -120,14 +120,14 @@ def test_simulate_matches_reference_across_idle_gaps():
 
 
 def test_long_idle_gap_is_jumped(monkeypatch):
-    advances = []
-    original = IncrementalSchedule.advance
+    sends = []
+    original = IncrementalSchedule.send
 
-    def counting(self):
-        advances.append(self.time)
-        return original(self)
+    def counting(self, p):
+        sends.append(self.time)
+        return original(self, p)
 
-    monkeypatch.setattr(IncrementalSchedule, "advance", counting)
+    monkeypatch.setattr(IncrementalSchedule, "send", counting)
     inst = inst_of(mk(0, 1, 1, 1.0), mk(1, 10**7, UNBOUNDED, 2.5))
     trace = simulate(inst, PolicyParams.mg(PHI, PHI))
     assert trace.sends == (StepRecord(1, 0, 1.0, 1, 1.0), StepRecord(10**7, 1, 2.5, 1, 2.5))
@@ -135,7 +135,7 @@ def test_long_idle_gap_is_jumped(monkeypatch):
     assert trace.sent_ids == (0, 1)
     assert trace.total_value == 3.5
     assert trace.dropped_expired == ()
-    assert advances == [1, 10**7]  # one schedule step per send, none across the gap
+    assert sends == [1, 10**7]  # one schedule step per send, none across the gap
 
 
 def test_dump_trace_writes_idle_rows_of_a_gap():
