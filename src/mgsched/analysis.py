@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
@@ -208,6 +207,10 @@ def sweep(
     if jobs == 1:
         outcomes = list(map(_run_trial, tasks))
     else:
+        # Imported here: the pool pulls in multiprocessing, which every other
+        # command would pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Four chunks a worker, so that the cells' unequal costs even out.
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))

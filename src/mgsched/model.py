@@ -113,9 +113,10 @@ def validate_instance(packets: Iterable[Packet]) -> list[Violation]:
     """Check packet and instance invariants; an empty list means valid.
 
     Ids, releases and bounded deadlines must be integers, as in the loader; a
-    bool is none of them, though Python counts it as an int.  A deadline may
-    also be an integer-valued float.  A field of another type is a violation,
-    never a TypeError.
+    bool is none of them, nor a value, though Python counts it as an int.  A
+    deadline may also be an integer-valued float, and a value must be a float
+    or an int within the float range.  A field of another type or range is a
+    violation, never a TypeError or OverflowError.
     """
     violations: list[Violation] = []
     seen: set[int] = set()
@@ -132,10 +133,17 @@ def validate_instance(packets: Iterable[Packet]) -> list[Violation]:
             violations.append(Violation(pid, "non-integer-release", f"release {release!r} not an integer"))
         elif release < 1:
             violations.append(Violation(pid, "release-before-one", f"release {release} < 1"))
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            violations.append(Violation(pid, "non-positive-value", f"value {value} not a positive finite real"))
+        try:  # a bool is no value either: the writer would print it as true
+            positive = (
+                type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            )
+        except OverflowError:  # an int past the float range, maybe too long to print
+            violations.append(Violation(pid, "value-overflow", "value is an integer past the float range"))
         else:
-            values.append(value)
+            if positive:
+                values.append(value)
+            else:
+                violations.append(Violation(pid, "non-positive-value", f"value {value} not a positive finite real"))
         if type(deadline) is int:  # nearly every deadline: skip the slower tests
             number = True
         elif deadline == UNBOUNDED:
@@ -234,15 +242,32 @@ def packet_from_obj(obj: dict) -> Packet:
         raise ValueError(f"deadline must be an integer or null, got {deadline!r}")
     if type(value) is not float and type(value) is not int:
         raise ValueError(f"value must be a number, got {value!r}")
-    return Packet(pid, release, deadline, float(value))
+    try:
+        value = float(value)
+    except OverflowError:  # an int, maybe too long to print
+        raise ValueError("value must be within the float range, got an integer past it") from None
+    return Packet(pid, release, deadline, value)
+
+
+def json_number(x: float) -> str:
+    """A number as json.dumps writes it: float.__repr__ or int.__repr__, even
+    for a subclass such as numpy.float64, whose own repr differs."""
+    return repr(x) if type(x) is float else json.dumps(x)
 
 
 def dump_instance(inst: Instance, fp: IO[str]) -> None:
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
+    """Write the instance as JSON lines: the meta line, if any, then one line
+    per packet.  Each line is json.dumps(obj, sort_keys=True) of its object
+    (packet_to_obj for a packet), byte for byte; the packet lines are
+    formatted directly, which is several times faster than the encoder."""
     if inst.meta is not None:
-        fp.write(encode({"meta": inst.meta}) + "\n")
-    for p in inst.packets:
-        fp.write(encode(packet_to_obj(p)) + "\n")
+        fp.write(json.dumps({"meta": inst.meta}, sort_keys=True) + "\n")
+    fp.writelines(
+        # Validation makes id and release ints and value a finite number.
+        f'{{"deadline": {"null" if p.deadline == UNBOUNDED else int(p.deadline)}, "id": {p.id}, '
+        f'"release": {p.release}, "value": {json_number(p.value)}}}\n'
+        for p in inst.packets
+    )
 
 
 def dumps_instance(inst: Instance) -> str:

@@ -20,12 +20,13 @@ the steps that send; the idle rows are synthesized.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .model import UNBOUNDED, Instance, Packet
+from .model import UNBOUNDED, Instance, Packet, json_number
 from .provisional import IncrementalSchedule, canonical_key
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
@@ -198,32 +199,21 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
 
 
 def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
-    """JSON-lines trace: one record per step, idle ones included, then a summary line."""
-    import json
+    """JSON-lines trace: one record per step, idle ones included, then a summary line.
 
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
-    for s in trace.iter_steps():
-        fp.write(
-            encode(
-                {
-                    "t": s.t,
-                    "sent_id": s.sent_id,
-                    "sent_value": s.sent_value,
-                    "buffer_size": s.buffer_size,
-                    "schedule_value": s.schedule_value,
-                }
-            )
-            + "\n"
-        )
-    fp.write(
-        encode(
-            {
-                "summary": {
-                    "totalValue": trace.total_value,
-                    "sentCount": trace.sent_count,
-                    "droppedCount": len(trace.dropped_expired),
-                }
-            }
-        )
-        + "\n"
+    Each line is json.dumps(obj, sort_keys=True) of its record, byte for byte;
+    the step lines are formatted directly, which is several times faster than
+    the encoder, and streamed, so memory does not grow with the trace.
+    """
+    fp.writelines(
+        f'{{"buffer_size": {s.buffer_size}, "schedule_value": {json_number(s.schedule_value)}, '
+        f'"sent_id": {"null" if s.sent_id is None else s.sent_id}, "sent_value": {json_number(s.sent_value)}, '
+        f'"t": {s.t}}}\n'
+        for s in trace.iter_steps()
     )
+    summary = {
+        "totalValue": trace.total_value,
+        "sentCount": trace.sent_count,
+        "droppedCount": len(trace.dropped_expired),
+    }
+    fp.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")

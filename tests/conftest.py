@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 
+import numpy
+from hypothesis import strategies as st
+
 from mgsched.model import UNBOUNDED, Instance, Packet
 from mgsched.policies import SimulationTrace
 from mgsched.provisional import optimal_provisional_schedule
@@ -13,6 +16,34 @@ def mk(pid: int, release: int, deadline: float, value: float) -> Packet:
 
 def inst_of(*packets: Packet) -> Instance:
     return Instance(tuple(packets))
+
+
+# Values whose JSON text is not always a plain float repr: ints, numpy.float64
+# (its own repr is "np.float64(...)") and the float range's edges.  Ints stay
+# at most 2**53, so that a loader reading them as floats keeps their value.
+_written_value = st.one_of(
+    st.integers(1, 2**53),
+    st.floats(5e-324, 1e300),
+    st.floats(5e-324, 1e300).map(numpy.float64),
+    st.sampled_from((5e-324, 1 + 2**-52, 1e300)),
+)
+
+
+def _written_packet(pid: int, release: int, slack: int | None, float_deadline: bool, value) -> Packet:
+    deadline = UNBOUNDED if slack is None else release + slack
+    return Packet(pid, release, float(deadline) if float_deadline else deadline, value)
+
+
+#: Valid instances with the values and deadlines above, integer-valued float
+#: deadlines and UNBOUNDED ones, spread over releases 1..30 so that a run has
+#: idle steps, with or without a meta line.
+written_instances = st.builds(
+    lambda rows, meta: Instance(tuple(_written_packet(i, *row) for i, row in enumerate(rows)), meta),
+    st.lists(
+        st.tuples(st.integers(1, 30), st.none() | st.integers(0, 4), st.booleans(), _written_value), max_size=12
+    ),
+    st.none() | st.dictionaries(st.text(max_size=3), st.integers() | st.floats(), max_size=2),
+)
 
 
 def heads_of(scheduled) -> list[Packet]:

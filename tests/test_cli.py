@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,15 @@ def test_parse_alpha_symbolic():
     assert parse_alpha("phi") == PHI
     assert parse_alpha("phi2") == PHI**2
     assert parse_alpha("1.25") == 1.25
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only `sweep --jobs` > 1 uses the pool; importing it costs every command
+    # about a third of its start-up.
+    code = "import sys, mgsched.cli; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_gen_writes_instance_and_flags(tmp_path, capsys):
@@ -233,6 +246,7 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
          "Extra data"),
         ('{"meta": 5}', "meta must be a JSON object"),
         ('{"meta": {"seed": 1}}', "a meta line may come only once, before every packet"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": 1' + "0" * 400 + "}", "within the float range"),
     ):
         bad.write_text(good + line + "\n")
         capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import inst_of, mk, naive_pairwise_flags
+from conftest import inst_of, mk, naive_pairwise_flags, written_instances
 from mgsched.model import (
     UNBOUNDED,
     Instance,
@@ -17,6 +17,7 @@ from mgsched.model import (
     classify_variants,
     dumps_instance,
     loads_instance,
+    packet_to_obj,
     validate_instance,
 )
 
@@ -64,6 +65,8 @@ def test_duplicate_id_and_bad_release():
         (Packet([0], 1, 3, 1.0), ["non-integer-id"]),
         (Packet("0", 1, 3, 1.0), ["non-integer-id"]),
         (Packet(True, 2, 1, 1.0), ["non-integer-id", "deadline-before-release"]),
+        (Packet(0, 1, 1, 10**400), ["value-overflow"]),
+        (Packet(0, 1, 1, True), ["non-positive-value"]),  # the writer would print true, which no loader reads
     ],
 )
 def test_mistyped_fields_are_violations_not_type_errors(packet, rules):
@@ -85,7 +88,7 @@ _any_packets = st.lists(
         id=st.one_of(st.integers(0, 2), st.sampled_from((True, "0", None)), st.builds(list)),
         release=st.one_of(st.integers(-1, 4), st.sampled_from((True, "1", None))),
         deadline=st.one_of(st.integers(-1, 6), st.sampled_from((UNBOUNDED, math.nan, -math.inf, True, "3", None))),
-        value=st.sampled_from((-1.0, 0.0, 0.5, math.nan, math.inf)),
+        value=st.sampled_from((-1.0, 0.0, 0.5, math.nan, math.inf, True, 10**400)),
     ),
     max_size=4,
 ).map(tuple)
@@ -190,6 +193,17 @@ def test_serialization_round_trip_with_meta_and_unbounded():
     assert back.packets == inst.packets
     assert back.meta == inst.meta
     assert dumps_instance(back) == text
+
+
+@given(written_instances)
+def test_each_written_line_is_json_dumps_of_its_object(inst):
+    objs = [packet_to_obj(p) for p in inst.packets]
+    if inst.meta is not None:
+        objs.insert(0, {"meta": inst.meta})
+    text = dumps_instance(inst)
+    assert text == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+    back = loads_instance(text)
+    assert back.packets == inst.packets
 
 
 def test_loader_rejects_a_second_or_late_meta_line():

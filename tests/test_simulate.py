@@ -4,12 +4,14 @@ step and rebuilds the optimal provisional schedule from scratch each time."""
 from __future__ import annotations
 
 import io
+import json
 import math
 from random import Random
 
 import pytest
+from hypothesis import given
 
-from conftest import inst_of, mk
+from conftest import inst_of, mk, written_instances
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound
 from mgsched.model import ALL_VARIANTS, PHI, UNBOUNDED, Instance, InvalidInstanceError, Packet
 from mgsched.offline import empirical_ratio, offline_optimal
@@ -153,6 +155,20 @@ def test_dump_trace_writes_idle_rows_of_a_gap():
         '{"summary": {"droppedCount": 1, "sentCount": 3, "totalValue": 4.5}}',
     ]
     assert len(trace.steps) == 6 and trace.sent_count == 3
+
+
+@given(written_instances)
+def test_each_trace_line_is_json_dumps_of_its_record(inst):
+    trace = simulate(inst, PolicyParams.mg(PHI, PHI))
+    fp = io.StringIO()
+    dump_trace(trace, fp)
+    summary = {
+        "totalValue": trace.total_value,
+        "sentCount": trace.sent_count,
+        "droppedCount": len(trace.dropped_expired),
+    }
+    objs = [s._asdict() for s in trace.iter_steps()] + [{"summary": summary}]  # idle rows included
+    assert fp.getvalue() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 
 def test_empirical_ratio_validates_once(monkeypatch):
