@@ -28,7 +28,6 @@ from .policies import (
     PolicyKind,
     PolicyParams,
     SimulationTrace,
-    edf_alpha_select,
     mg_select,
     simulate,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "check_chain",
     "classify_variants",
     "dumps_instance",
-    "edf_alpha_select",
     "empirical_ratio",
     "extremal_chain",
     "generate",

@@ -182,6 +182,8 @@ class LowerBoundSpec:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        if type(self.k) is not int:  # a bool is no count, though Python counts it as an int
+            raise ValueError(f"k must be an int, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         try:

@@ -222,9 +222,10 @@ def packet_to_obj(p: Packet) -> dict:
 
 def packet_from_obj(obj: dict) -> Packet:
     """The packet of one JSON object, which must hold integer id, release and
-    deadline (null for UNBOUNDED) and a numeric value.  Nothing is truncated or
-    coerced; a missing or mistyped field raises ValueError.  Range rules are
-    left to validate_instance."""
+    deadline (null for UNBOUNDED) and a numeric value, an integer one only if a
+    float holds it exactly.  Nothing is truncated or coerced; a missing or
+    mistyped field raises ValueError.  Range rules are left to
+    validate_instance."""
     if not isinstance(obj, dict):
         raise ValueError(f"a packet must be a JSON object, got {obj!r}")
     try:
@@ -243,10 +244,12 @@ def packet_from_obj(obj: dict) -> Packet:
     if type(value) is not float and type(value) is not int:
         raise ValueError(f"value must be a number, got {value!r}")
     try:
-        value = float(value)
+        number = float(value)
     except OverflowError:  # an int, maybe too long to print
         raise ValueError("value must be within the float range, got an integer past it") from None
-    return Packet(pid, release, deadline, value)
+    if type(value) is int and number != value:  # no float holds it; int == float is exact
+        raise ValueError(f"value must be a float exactly, got {value}, which would round to {number!r}")
+    return Packet(pid, release, deadline, number)
 
 
 def json_number(x: float) -> str:

@@ -1,15 +1,14 @@
 """Online policies (MG, EDF_alpha) and the discrete-time simulator.
 
-MG reads the optimal provisional schedule at each step and sends the first
-packet f in canonical order with v_f >= max(v_h / alpha, beta * v_e), where e
-is the schedule's first packet and h its first highest-value packet; if
-v_e >= v_h / alpha it sends e outright.  A deadline's first packet has its
-highest value, so e, v_h and f are all read from the schedule's first packet
-of each deadline: mg_select takes that list of heads.  EDF_alpha works on the
-raw buffer, of which it needs only the first packet of each deadline.  Both
-selectors raise EmptyBufferError on an empty list.
+Both policies apply one send rule, mg_select, to the first packet of each
+pending deadline (its head), in canonical order.  With e the first head and
+v_h the top head value, it sends e if v_e >= v_h / alpha, else the first head
+f with v_f >= max(v_h / alpha, beta * v_e).  MG reads the optimal provisional
+schedule's heads.  EDF_alpha reads the raw buffer's, with beta = 1, so it
+sends the earliest-deadline packet worth at least v_h / alpha, ties by higher
+value, then id.
 Greedy (send a highest-value pending packet) is MG(1, 1), so it has no
-selector of its own: `mgsched --policy greedy` is an alias of that setting.
+rule of its own: `mgsched --policy greedy` is an alias of that setting.
 
 The simulator is event-driven: it keeps one IncrementalSchedule up to date
 through two events, insert for each arrival and send for the packet sent at
@@ -27,7 +26,7 @@ from enum import Enum
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .model import UNBOUNDED, Instance, Packet, json_number
-from .provisional import IncrementalSchedule, canonical_key
+from .provisional import IncrementalSchedule
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
 # tests/test_bench_hooks.py guards.  It goes with ROADMAP item 1.
@@ -41,19 +40,25 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Selector choice plus (alpha, beta); alpha may be UNBOUNDED (math.inf)."""
+    """Policy kind plus (alpha, beta); alpha may be UNBOUNDED (math.inf).
+    EDF_alpha is the send rule with beta = 1, so it takes no other beta."""
 
     kind: PolicyKind
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
+        # A str such as "mg" equals PolicyKind.MG, but simulate tests identity.
+        if not isinstance(self.kind, PolicyKind):
+            raise ValueError(f"kind must be a PolicyKind, got {self.kind!r}")
         if not self.alpha >= 1:  # NaN fails too
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 1 or not math.isfinite(self.beta):
             raise ValueError(f"beta must be a finite real >= 1, got {self.beta}")
         if self.kind is PolicyKind.MG and self.beta > self.alpha:
             raise ValueError(f"MG requires beta <= alpha, got beta={self.beta} > alpha={self.alpha}")
+        if self.kind is PolicyKind.EDF_ALPHA and self.beta != 1:
+            raise ValueError(f"EDF_alpha has beta = 1, got beta={self.beta}")
 
     @classmethod
     def mg(cls, alpha: float, beta: float = 1.0) -> "PolicyParams":
@@ -110,14 +115,13 @@ class SimulationTrace:
 
 
 def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
-    """Apply the MG send rule to a provisional schedule's group heads: the
-    first scheduled packet of each deadline, in canonical order.
-
-    Within a deadline the first packet has the highest value, so e, the top
-    value v_h and the first packet past the threshold are all heads.
+    """Apply the send rule to the heads of the pending deadlines, in canonical
+    order: the provisional schedule's for MG, the raw buffer's for EDF_alpha.
+    A deadline's first packet has its highest value, so e, the top value v_h
+    and the first packet past the threshold are all heads.
     """
     if not heads:
-        raise EmptyBufferError("provisional schedule is empty")
+        raise EmptyBufferError("no heads: the buffer is empty")
     e = heads[0]
     top = max([p.value for p in heads])
     h_over_alpha = 0.0 if params.alpha == UNBOUNDED else top / params.alpha
@@ -131,25 +135,11 @@ def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
     raise AssertionError("no qualifying packet; alpha/beta invariant broken")
 
 
-def edf_alpha_select(pending: Sequence[Packet], alpha: float) -> Packet:
-    """Earliest-deadline pending packet with value >= (max pending value) / alpha.
-
-    Ties by decreasing value, then id.  Operates on the raw buffer, not the
-    provisional schedule.
-    """
-    if not pending:
-        raise EmptyBufferError("no pending packets")
-    top = max(p.value for p in pending)
-    threshold = 0.0 if alpha == UNBOUNDED else top / alpha
-    eligible = [p for p in pending if p.value >= threshold]
-    return min(eligible, key=canonical_key)
-
-
 def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     """Run one policy over an instance and record the steps that send.
 
     Each step t: admit arrivals with release == t, then (buffer permitting)
-    send the selector's packet, then let unsendable packets expire.  The
+    send the packet mg_select picks, then let unsendable packets expire.  The
     optimal provisional schedule is one IncrementalSchedule, updated by
     insert and send, never rebuilt; while the buffer is empty the run jumps
     to the next release, so the cost follows the packet count, not the
@@ -171,7 +161,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     dropped: list[int] = []
     total = 0.0
 
-    mg = params.kind is PolicyKind.MG
+    heads = schedule.group_heads if params.kind is PolicyKind.MG else schedule.heads
     t = 1
     while releases or schedule.pending_count:
         if releases and releases[-1] == t:
@@ -182,14 +172,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
             schedule.time = t
             continue
 
-        if mg:
-            chosen = mg_select(schedule.group_heads(), params)
-        else:
-            # A deadline's first packet has its highest value and comes first
-            # in canonical order, so the heads hold both the top value and
-            # the earliest eligible packet.
-            chosen = edf_alpha_select(schedule.heads(), params.alpha)
-
+        chosen = mg_select(heads(), params)
         sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
         total += chosen.value
         dropped.extend(schedule.send(chosen))
@@ -205,12 +188,17 @@ def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
     the step lines are formatted directly, which is several times faster than
     the encoder, and streamed, so memory does not grow with the trace.
     """
-    fp.writelines(
-        f'{{"buffer_size": {s.buffer_size}, "schedule_value": {json_number(s.schedule_value)}, '
-        f'"sent_id": {"null" if s.sent_id is None else s.sent_id}, "sent_value": {json_number(s.sent_value)}, '
-        f'"t": {s.t}}}\n'
-        for s in trace.iter_steps()
-    )
+    # An idle row is StepRecord(t, None, 0.0, 0, 0.0): constant but for its t.
+    idle = '{"buffer_size": 0, "schedule_value": 0.0, "sent_id": null, "sent_value": 0.0, "t": %d}\n'
+    t = 1
+    for s in trace.sends:
+        if s.t > t:
+            fp.writelines(map(idle.__mod__, range(t, s.t)))
+        fp.write(
+            f'{{"buffer_size": {s.buffer_size}, "schedule_value": {json_number(s.schedule_value)}, '
+            f'"sent_id": {s.sent_id}, "sent_value": {json_number(s.sent_value)}, "t": {s.t}}}\n'
+        )
+        t = s.t + 1
     summary = {
         "totalValue": trace.total_value,
         "sentCount": trace.sent_count,

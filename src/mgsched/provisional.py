@@ -209,7 +209,7 @@ class IncrementalSchedule:
         dl, counts = self._deadlines, self._counts
         j = bisect_left(dl, p.deadline)
         keys, group = self._keys[j], self._packets[j]
-        # The selectors send a deadline's first packet: no key to rebuild.
+        # Both policies send a deadline's first packet: no key to rebuild.
         i = 0 if group[0] is p else bisect_left(keys, (-_units(p.value), p.id))
         neg_units = keys.pop(i)[0]
         del group[i]

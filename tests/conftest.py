@@ -56,6 +56,14 @@ def heads_of(scheduled) -> list[Packet]:
     return heads
 
 
+def edf_reference(buffer, alpha) -> Packet:
+    """EDF_alpha over the raw buffer: the earliest-deadline packet among those
+    worth at least top / alpha, ties by higher value, then by id."""
+    top = max(p.value for p in buffer)
+    threshold = 0.0 if alpha == UNBOUNDED else top / alpha
+    return min((p for p in buffer if p.value >= threshold), key=lambda p: (p.deadline, -p.value, p.id))
+
+
 def brute_best_pending_value(pending, t: int) -> float:
     """Independent oracle: max total value over all slot-feasible subsets."""
     n = len(pending)

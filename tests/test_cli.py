@@ -247,6 +247,7 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
         ('{"meta": 5}', "meta must be a JSON object"),
         ('{"meta": {"seed": 1}}', "a meta line may come only once, before every packet"),
         ('{"id": 1, "release": 1, "deadline": 3, "value": 1' + "0" * 400 + "}", "within the float range"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": 9007199254740993}', "value must be a float exactly"),
     ):
         bad.write_text(good + line + "\n")
         capsys.readouterr()

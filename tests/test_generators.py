@@ -150,6 +150,9 @@ def test_lb_spec_validation():
         LowerBoundSpec(0)
     with pytest.raises(ValueError):
         LowerBoundSpec(5, epsilon=0.5)  # above the 1/(10*phi^(k+1)) ceiling
+    for k in (True, 2.5):  # True would pass k >= 1 and reach the file's meta
+        with pytest.raises(ValueError, match="k must be an int"):
+            LowerBoundSpec(k)
     LowerBoundSpec(5, epsilon=1e-6)
 
 

@@ -214,6 +214,15 @@ def test_loader_rejects_a_second_or_late_meta_line():
             loads_instance(text)
 
 
+def test_loader_keeps_an_integer_value_only_if_a_float_holds_it():
+    line = '{"id": 0, "release": 1, "deadline": 3, "value": %d}\n'
+    for value in (2**53, 2**53 + 2, 2**60, 3):
+        assert loads_instance(line % value).packets[0].value == value
+    for value in (2**53 + 1, 2**60 + 1):
+        with pytest.raises(ValueError, match=f"line 1: value must be a float exactly, got {value}"):
+            loads_instance(line % value)
+
+
 def test_loader_reports_the_error_json_loads_gives():
     for line in ('{"id": 0} 5', '{"a": 1}  {"b": 2}', '\ufeff{"a": 1}', "{not json", "1 2", '"a" x'):
         with pytest.raises(json.JSONDecodeError) as want:

@@ -5,14 +5,13 @@ from random import Random
 
 import pytest
 
-from conftest import heads_of, inst_of, mk, value_order_held
+from conftest import edf_reference, heads_of, inst_of, mk, value_order_held
 from mgsched.model import PHI, UNBOUNDED, Instance, Packet
 from mgsched.offline import brute_force_optimal
 from mgsched.policies import (
     EmptyBufferError,
     PolicyKind,
     PolicyParams,
-    edf_alpha_select,
     mg_select,
     simulate,
 )
@@ -34,6 +33,14 @@ def test_params_validation():
     with pytest.raises(ValueError, match="alpha must be >= 1, got nan"):
         PolicyParams.edf(math.nan)
     assert PolicyParams.mg(UNBOUNDED, 3.0).alpha == UNBOUNDED
+    # The kind must be a PolicyKind: the str "mg" equals PolicyKind.MG but would
+    # not run MG.  EDF_alpha is the send rule with beta = 1, so no other beta.
+    for args in (("mg", PHI, PHI), ("bogus", 2.0, 1.0)):
+        with pytest.raises(ValueError, match="kind must be a PolicyKind"):
+            PolicyParams(*args)
+    with pytest.raises(ValueError, match="EDF_alpha has beta = 1"):
+        PolicyParams(PolicyKind.EDF_ALPHA, 2.0, 1.5)
+    assert PolicyParams(PolicyKind.EDF_ALPHA, 2.0, 1.0) == PolicyParams.edf(2.0)
 
 
 def test_mg_select_tie_sends_e():
@@ -67,20 +74,37 @@ def test_mg_sent_value_always_at_least_h_over_alpha():
         assert chosen.value >= top / alpha
 
 
+def _raw_heads(*packets):
+    """The first packet of each deadline of the raw buffer, in canonical order."""
+    return heads_of(sorted(packets, key=lambda p: (p.deadline, -p.value, p.id)))
+
+
 def test_edf_alpha_one_is_greedy():
-    pending = [mk(0, 1, 9, 5.0), mk(1, 1, 1, 3.0)]
-    assert edf_alpha_select(pending, 1.0).id == 0
+    assert mg_select(_raw_heads(mk(0, 1, 9, 5.0), mk(1, 1, 1, 3.0)), PolicyParams.edf(1.0)).id == 0
 
 
 def test_edf_alpha_threshold_example():
-    pending = [mk(0, 1, 1, 1.0), mk(1, 1, 5, 2.0)]
-    assert edf_alpha_select(pending, 2.0).id == 0
+    assert mg_select(_raw_heads(mk(0, 1, 1, 1.0), mk(1, 1, 5, 2.0)), PolicyParams.edf(2.0)).id == 0
 
 
 def test_edf_singleton_and_empty():
-    assert edf_alpha_select([mk(0, 1, 1, 1.0)], 3.0).id == 0
+    assert mg_select(_raw_heads(mk(0, 1, 1, 1.0)), PolicyParams.edf(3.0)).id == 0
     with pytest.raises(EmptyBufferError):
-        edf_alpha_select([], 2.0)
+        mg_select(_raw_heads(), PolicyParams.edf(2.0))
+
+
+def test_edf_alpha_is_the_send_rule_over_raw_heads():
+    """On raw buffers with value ties, shared and UNBOUNDED deadlines, the
+    send rule with beta = 1 over the buffer's heads is EDF_alpha."""
+    rng = Random(16)
+    for _ in range(2000):
+        buffer = [
+            Packet(i, 1, UNBOUNDED if rng.random() < 0.15 else 1 + rng.randint(0, 5), rng.randint(1, 8) / 4.0)
+            for i in range(rng.randint(1, 9))
+        ]
+        rng.shuffle(buffer)
+        alpha = rng.choice([1.0, 1.25, PHI, 2.0, PHI**2, 3.0, UNBOUNDED])
+        assert mg_select(_raw_heads(*buffer), PolicyParams.edf(alpha)) == edf_reference(buffer, alpha), (alpha, buffer)
 
 
 def test_greedy_examples():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_best_pending_value, heads_of, mk
-from mgsched.model import UNBOUNDED, Packet
+from conftest import assignment_opt, brute_best_pending_value, heads_of, mk
+from mgsched.model import UNBOUNDED, Instance, Packet
 from mgsched.policies import EmptyBufferError, PolicyParams, mg_select
 from mgsched.provisional import IncrementalSchedule, canonical_key, optimal_provisional_schedule
 
@@ -238,3 +238,33 @@ def test_group_heads_are_first_packet_of_each_deadline():
     assert [p.id for p in schedule.group_heads()] == [1, 2, 4]
     assert schedule.group_heads() == heads_of(optimal_provisional_schedule(pending, 1))
     assert IncrementalSchedule(1).group_heads() == heads_of(optimal_provisional_schedule([], 1)) == []
+
+
+@pytest.mark.parametrize("target", [100, 250, 400])
+def test_incremental_value_equals_assignment_oracle_at_hundreds_pending(target):
+    """Random insert/send histories that hold `target` pending packets or so,
+    with dyadic values (so every sum is exact) and some UNBOUNDED deadlines:
+    after each burst of inserts and each send, the schedule's value is the
+    assignment optimum of the pending packets, all taken as released now.
+    Sends take a scheduled head, as MG does, or any pending packet, as
+    EDF_alpha may."""
+    rng = Random(f"assignment:{target}")
+    t = rng.randint(1, 50)
+    schedule = IncrementalSchedule(t)
+    pending: list[Packet] = []
+    pid = 0
+    for _ in range(120):
+        if len(pending) < target and rng.random() < 0.6:
+            for _ in range(rng.randint(1, target // 4)):  # a burst of arrivals, one insert each
+                deadline = UNBOUNDED if rng.random() < 0.1 else t + rng.randint(0, target // 2)
+                p = Packet(pid, t, deadline, rng.randint(1, 64) / 8.0)
+                pid += 1
+                schedule.insert(p)
+                pending.append(p)
+        elif pending:
+            p = rng.choice(schedule.group_heads()) if rng.random() < 0.7 else rng.choice(pending)
+            pending = _send(schedule, pending, p, t)
+            t += 1
+        assert schedule.pending_count == len(pending)
+        now = Instance(tuple(Packet(p.id, t, p.deadline, p.value) for p in pending))
+        assert schedule.total_value == assignment_opt(now)

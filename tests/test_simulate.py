@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given
 
-from conftest import inst_of, mk, written_instances
+from conftest import edf_reference, inst_of, mk, written_instances
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound
 from mgsched.model import ALL_VARIANTS, PHI, UNBOUNDED, Instance, InvalidInstanceError, Packet
 from mgsched.offline import empirical_ratio, offline_optimal
@@ -20,7 +20,6 @@ from mgsched.policies import (
     PolicyParams,
     StepRecord,
     dump_trace,
-    edf_alpha_select,
     simulate,
 )
 from mgsched.provisional import IncrementalSchedule, optimal_provisional_schedule
@@ -74,7 +73,7 @@ def reference_steps(inst: Instance, params: PolicyParams):
         if params.kind is PolicyKind.MG:
             chosen = _mg_reference(schedule, params)
         else:
-            chosen = edf_alpha_select(buffer, params.alpha)
+            chosen = edf_reference(buffer, params.alpha)
         steps.append(StepRecord(t, chosen.id, chosen.value, len(buffer), math.fsum(p.value for p in schedule)))
         buffer.remove(chosen)
         total += chosen.value
