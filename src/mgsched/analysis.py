@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .generators import GenSpec, generate
 from .model import (
@@ -25,6 +24,7 @@ from .model import (
     VARIANT_ANTI_AGREEABLE_DEADLINE_VALUE,
     VARIANT_ANTI_AGREEABLE_SLACK_VALUE,
     VARIANT_ANTI_AGREEABLE_VALUE,
+    Frozen,
 )
 from .offline import empirical_ratio
 from .policies import PolicyParams
@@ -34,8 +34,7 @@ class PremiseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChainInstance:
+class ChainInstance(Frozen):
     """A charging chain: adversary values q_1..q_k vs algorithm values p_1..p_k.
 
     Premises: 1 < alpha < inf, q_i <= alpha * p_i and q_i <= p_{i+1} for
@@ -43,29 +42,28 @@ class ChainInstance:
     PremiseError.
     """
 
-    alpha: float
-    q_values: tuple[float, ...]
-    p_values: tuple[float, ...]
+    __slots__ = ("alpha", "q_values", "p_values")
+
+    def __init__(self, alpha: float, q_values: tuple[float, ...], p_values: tuple[float, ...]):
+        if not 1 < alpha < UNBOUNDED:  # NaN fails too
+            raise PremiseError(f"alpha must be a finite real > 1, got {alpha}")
+        if len(q_values) != len(p_values) or not q_values:
+            raise PremiseError("q and p must be equal-length, non-empty")
+        # Each test is written so that a NaN fails it.
+        if any(not v > 0 for v in q_values + p_values):
+            raise PremiseError("chain values must be positive")
+        for i in range(len(q_values) - 1):
+            if not q_values[i] <= alpha * p_values[i]:
+                raise PremiseError(f"q_{i+1} > alpha * p_{i+1}")
+            if not q_values[i] <= p_values[i + 1]:
+                raise PremiseError(f"q_{i+1} > p_{i+2}")
+        if not q_values[-1] <= p_values[-1]:
+            raise PremiseError("q_k > p_k")
+        self._init(alpha, q_values, p_values)
 
     @property
     def k(self) -> int:
         return len(self.q_values)
-
-    def __post_init__(self):
-        if not 1 < self.alpha < UNBOUNDED:  # NaN fails too
-            raise PremiseError(f"alpha must be a finite real > 1, got {self.alpha}")
-        if len(self.q_values) != len(self.p_values) or not self.q_values:
-            raise PremiseError("q and p must be equal-length, non-empty")
-        # Each test is written so that a NaN fails it.
-        if any(not v > 0 for v in self.q_values + self.p_values):
-            raise PremiseError("chain values must be positive")
-        for i in range(self.k - 1):
-            if not self.q_values[i] <= self.alpha * self.p_values[i]:
-                raise PremiseError(f"q_{i+1} > alpha * p_{i+1}")
-            if not self.q_values[i] <= self.p_values[i + 1]:
-                raise PremiseError(f"q_{i+1} > p_{i+2}")
-        if not self.q_values[-1] <= self.p_values[-1]:
-            raise PremiseError("q_k > p_k")
 
 
 def chain_bound(alpha: float, k: int) -> float:
@@ -112,20 +110,29 @@ def extremal_chain(alpha: float, k: int) -> ChainInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    variant: str
-    params: PolicyParams
-    n: int = 40
-    max_slack: int = 8
+class SweepCell(Frozen):
+    """One sweep cell: a variant, a policy, and the largest size and slack of
+    its trials' instances."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"a sweep cell needs n >= 1 packets per trial, got n={self.n}")
+    __slots__ = ("variant", "params", "n", "max_slack")
+
+    def __init__(self, variant: str, params: PolicyParams, n: int = 40, max_slack: int = 8):
+        # Checked here, not at the first trial, which may run in a worker.
+        if variant not in ALL_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if not isinstance(params, PolicyParams):
+            raise ValueError(f"params must be a PolicyParams, got {params!r}")
+        for name, value in (("n", n), ("max_slack", max_slack)):
+            if type(value) is not int:  # a bool is no count, though Python counts it as an int
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if n < 1:
+            raise ValueError(f"a sweep cell needs n >= 1 packets per trial, got n={n}")
+        if max_slack < 0:
+            raise ValueError(f"max_slack must be >= 0, got {max_slack}")
+        self._init(variant, params, n, max_slack)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     variant: str
     kind: str
     alpha: float
@@ -136,8 +143,7 @@ class SweepRow:
     argmax_seed: int
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
     CSV_HEADER = "variant,kind,alpha,beta,trials,max_ratio,mean_ratio,argmax_seed"

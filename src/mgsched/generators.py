@@ -23,12 +23,11 @@ run and drains the unbounded ones afterwards, nearly doubling MG's take.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
 from typing import Callable
 
-from .model import ALL_VARIANTS, PHI, UNBOUNDED, VARIANT_GENERAL, VARIANT_RULES, Instance, Packet
+from .model import ALL_VARIANTS, PHI, UNBOUNDED, VARIANT_GENERAL, VARIANT_RULES, Frozen, Instance, Packet
 
 #: Values lie on the grid lo + k * (hi - lo) / VALUE_GRID_STEPS, k = 0..VALUE_GRID_STEPS.
 VALUE_GRID_STEPS = 4096
@@ -40,26 +39,24 @@ _GRID_STEP = (_VALUE_HI - _VALUE_LO) / VALUE_GRID_STEPS
 _GetRandBits = Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Frozen):
     """Parameters of one seeded random instance."""
 
-    variant: str
-    n: int
-    max_slack: int = 8
-    seed: int = 0
+    __slots__ = ("variant", "n", "max_slack", "seed")
 
-    def __post_init__(self):
-        if self.variant not in ALL_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("n", "max_slack"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is no count, though Python counts it as an int
+    def __init__(self, variant: str, n: int, max_slack: int = 8, seed: int = 0):
+        if variant not in ALL_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        # Exact ints: a bool would reach the meta line as true, and a float
+        # seed is one that no `mgsched gen --seed` reproduces.
+        for name, value in (("n", n), ("max_slack", max_slack), ("seed", seed)):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be >= 0")
-        if self.max_slack < 0:
+        if max_slack < 0:
             raise ValueError("max_slack must be >= 0")
+        self._init(variant, n, max_slack, seed)
 
 
 def _draws(getrandbits: _GetRandBits, width: int, count: int) -> list[int]:
@@ -174,24 +171,23 @@ def generate(spec: GenSpec) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundSpec:
+class LowerBoundSpec(Frozen):
     """Stage count k (instance has ~2^(k+1) steps) and the value perturbation."""
 
-    k: int
-    epsilon: float = 1e-6
+    __slots__ = ("k", "epsilon")
 
-    def __post_init__(self):
-        if type(self.k) is not int:  # a bool is no count, though Python counts it as an int
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        if self.k < 1:
+    def __init__(self, k: int, epsilon: float = 1e-6):
+        if type(k) is not int:  # a bool is no count, though Python counts it as an int
+            raise ValueError(f"k must be an int, got {k!r}")
+        if k < 1:
             raise ValueError("k must be >= 1")
         try:
-            bound = 1 / (10 * PHI ** (self.k + 1))
+            bound = 1 / (10 * PHI ** (k + 1))
         except OverflowError:  # phi^(k+1) is past the float range for k >= 1474: no epsilon fits
             bound = 0.0
-        if not 0 < self.epsilon < bound:
+        if not 0 < epsilon < bound:
             raise ValueError(f"epsilon must lie in (0, 1/(10*phi^(k+1))) = (0, {bound:.3e})")
+        self._init(k, epsilon)
 
 
 def _stage_lengths(k: int) -> list[int]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 #: Deadline sentinel.  Compares strictly greater than every bounded deadline,
 #: so an UNBOUNDED packet can never expire by accident.
@@ -49,14 +48,59 @@ CONSTRAINED_VARIANTS = tuple(VARIANT_RULES)
 ALL_VARIANTS = (VARIANT_GENERAL,) + CONSTRAINED_VARIANTS
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in __slots__, and its __init__ checks its
+    arguments, if it has rules, then sets the fields once through _init.
+    Equality, hashing and repr go by the fields in that order, and assigning
+    to a field raises AttributeError.  Pickling and copying call the
+    constructor again, so they refuse what it refuses.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The slots' own setters, which are faster than object.__setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _init(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Packet(Frozen):
     """A unit job: identity, release step, deadline step (or UNBOUNDED), value."""
 
-    id: int
-    release: int
-    deadline: float  # integer-valued, or UNBOUNDED
-    value: float
+    __slots__ = ("id", "release", "deadline", "value")
+
+    def __init__(self, id: int, release: int, deadline: float, value: float):
+        # Unrolled from _init: a sweep makes packets by the ten thousand.
+        _set_id(self, id)
+        _set_release(self, release)
+        _set_deadline(self, deadline)
+        _set_value(self, value)
 
     @property
     def slack(self) -> float:
@@ -68,18 +112,20 @@ class Packet:
         return self.deadline != UNBOUNDED
 
 
-@dataclass(frozen=True)
-class Instance:
+_set_id, _set_release, _set_deadline, _set_value = Packet._setters
+
+
+class Instance(Frozen):
     """A finite multiset of packets, plus optional generator metadata.  Making
     one from packets that break a rule raises InvalidInstanceError."""
 
-    packets: tuple[Packet, ...]
-    meta: dict | None = None
+    __slots__ = ("packets", "meta")
 
-    def __post_init__(self):
-        violations = validate_instance(self.packets)
+    def __init__(self, packets: tuple[Packet, ...], meta: dict | None = None):
+        violations = validate_instance(packets)
         if violations:
             raise InvalidInstanceError(violations)
+        self._init(packets, meta)
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -100,8 +146,7 @@ class Instance:
         return self.max_release + len(self.packets)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A broken invariant: which packet (None for instance-level) and which rule."""
 
     packet_id: int | None

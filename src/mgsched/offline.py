@@ -46,21 +46,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .model import UNBOUNDED, Instance, Packet
+from .model import UNBOUNDED, Frozen, Instance, Packet
 from .policies import PolicyParams, simulate
 from .provisional import _priority
 
 
-@dataclass(frozen=True)
-class OffSchedule:
+class OffSchedule(Frozen):
     """Slot assignment achieving the offline maximum total value."""
 
-    assignments: tuple[tuple[int, int], ...]  # (packet id, slot), by id
-    total_value: float
+    __slots__ = ("assignments", "total_value")
+
+    def __init__(self, assignments: tuple[tuple[int, int], ...], total_value: float):
+        self._init(assignments, total_value)  # assignments: (packet id, slot), by id
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -287,8 +287,7 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
     return OffSchedule(tuple(sorted(best)), best_value)
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """OPT value vs one policy's value on one instance."""
 
     opt_value: float

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .model import UNBOUNDED, Instance, Packet, json_number
+from .model import UNBOUNDED, Frozen, Instance, Packet, json_number
 from .provisional import IncrementalSchedule
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
@@ -38,27 +37,28 @@ class PolicyKind(str, Enum):
     EDF_ALPHA = "edf"
 
 
-@dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(Frozen):
     """Policy kind plus (alpha, beta); alpha may be UNBOUNDED (math.inf).
     EDF_alpha is the send rule with beta = 1, so it takes no other beta."""
 
-    kind: PolicyKind
-    alpha: float = 1.0
-    beta: float = 1.0
+    __slots__ = ("kind", "alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, kind: PolicyKind, alpha: float = 1.0, beta: float = 1.0):
         # A str such as "mg" equals PolicyKind.MG, but simulate tests identity.
-        if not isinstance(self.kind, PolicyKind):
-            raise ValueError(f"kind must be a PolicyKind, got {self.kind!r}")
-        if not self.alpha >= 1:  # NaN fails too
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.beta < 1 or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be a finite real >= 1, got {self.beta}")
-        if self.kind is PolicyKind.MG and self.beta > self.alpha:
-            raise ValueError(f"MG requires beta <= alpha, got beta={self.beta} > alpha={self.alpha}")
-        if self.kind is PolicyKind.EDF_ALPHA and self.beta != 1:
-            raise ValueError(f"EDF_alpha has beta = 1, got beta={self.beta}")
+        if not isinstance(kind, PolicyKind):
+            raise ValueError(f"kind must be a PolicyKind, got {kind!r}")
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if type(value) is bool or not isinstance(value, (int, float)):  # a bool would print as True
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not alpha >= 1:  # NaN fails too
+            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        if beta < 1 or not math.isfinite(beta):
+            raise ValueError(f"beta must be a finite real >= 1, got {beta}")
+        if kind is PolicyKind.MG and beta > alpha:
+            raise ValueError(f"MG requires beta <= alpha, got beta={beta} > alpha={alpha}")
+        if kind is PolicyKind.EDF_ALPHA and beta != 1:
+            raise ValueError(f"EDF_alpha has beta = 1, got beta={beta}")
+        self._init(kind, alpha, beta)
 
     @classmethod
     def mg(cls, alpha: float, beta: float = 1.0) -> "PolicyParams":
@@ -85,8 +85,7 @@ class StepRecord(NamedTuple):
     schedule_value: float
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     sends: tuple[StepRecord, ...]  # the steps that sent a packet, in time order
     total_value: float
     dropped_expired: tuple[int, ...]

@@ -124,6 +124,27 @@ def test_sweep_smoke_and_report_shapes():
     assert "general" in report.to_table()
 
 
+def test_sweep_cell_refuses_bad_fields_when_made():
+    # Each would otherwise fail only at the first trial, inside a worker
+    # under --jobs > 1, or run silently (n=True as n = 1).
+    params = PolicyParams.mg(PHI, PHI)
+    for kwargs, match in (
+        (dict(n=True), "n must be an int"),
+        (dict(n=2.5), "n must be an int"),
+        (dict(n=0), "n >= 1"),
+        (dict(max_slack=-1), "max_slack must be >= 0"),
+        (dict(max_slack=1.5), "max_slack must be an int"),
+        (dict(max_slack=False), "max_slack must be an int"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SweepCell("general", params, **kwargs)
+    with pytest.raises(ValueError, match="unknown variant"):
+        SweepCell("bogus", params)
+    with pytest.raises(ValueError, match="must be a PolicyParams"):
+        SweepCell("general", (PHI, PHI))
+    assert SweepCell("general", params, n=1, max_slack=0).n == 1
+
+
 def test_sweep_rejects_empty_runs():
     cells = [SweepCell("general", PolicyParams.mg(PHI, PHI), n=12)]
     for trials in (0, -1):

@@ -47,6 +47,11 @@ def test_spec_validation():
             GenSpec("general", bad)
         with pytest.raises(ValueError):
             GenSpec("general", 5, max_slack=bad)
+    # The seed goes to the meta line: true there, or a seed of 1.5, is one
+    # that `mgsched gen --seed` cannot reproduce.
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            GenSpec("general", 2, seed=bad)
 
 
 #: sha256 of every instance of the grid below, concatenated; the same on

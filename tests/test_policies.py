@@ -41,6 +41,12 @@ def test_params_validation():
     with pytest.raises(ValueError, match="EDF_alpha has beta = 1"):
         PolicyParams(PolicyKind.EDF_ALPHA, 2.0, 1.5)
     assert PolicyParams(PolicyKind.EDF_ALPHA, 2.0, 1.0) == PolicyParams.edf(2.0)
+    # A bool passes alpha >= 1 but would describe itself as alpha=True.
+    for args in ((True, 1.0), (2.0, True), ("2", 1.0)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            PolicyParams.mg(*args)
+    with pytest.raises(ValueError, match="alpha must be a real number"):
+        PolicyParams.edf(True)
 
 
 def test_mg_select_tie_sends_e():
