@@ -5,41 +5,35 @@ may occupy any slot in [r_p, D_p], D_p = min(deadline, cap), where cap = max
 release plus packet count (slots past the cap never help).  The sets of
 packets that can all be sent form a matroid (a transversal matroid over a
 convex bipartite graph), so the optimum is the matroid greedy under the
-strict order (-value, deadline, id), whose chosen set is unique.  Two exact
-solvers compute that same set.
+strict order (-value, deadline, id), whose chosen set is unique.
 
-Chain shift.  Packets are inserted in greedy order into a deadline-ordered
-slot assignment; an insertion walks right from r_p, swapping itself for any
-occupant with a later deadline, until a slot is free or the window ends (then
-the shifts are undone and the packet is dropped).  Cheap on short windows,
-but the walk is O(n^2) in the worst case.
+One solver computes it, the chain shift (the augmenting walk of convex
+bipartite matching, Glover 1967).  Packets are inserted in greedy order into
+a deadline-ordered slot assignment; an insertion walks right from r_p,
+swapping the carried packet for any occupant with a later deadline, until a
+slot is free or the carried packet's window ends (then nothing changes and
+the packet is left out).  A walk never passes a free slot, so each occupied
+run of slots holds only packets released within it, and every slot a walk
+reaches lies on the ASAP timeline: the n slots used when every packet is
+sent as early as its release allows, deadlines ignored.
 
-Matroid exchange, O(n log n).  Packets are taken in deadline order while
-keeping the best set S of those seen.  Every member of S has D <= D_p, so
-Hall's condition for S + p is one-dimensional: S + p can all be sent iff
-a + C(a) <= D_p for every distinct release a <= r_p, where C(a) counts the
-members of S released at or after a.  (a + C(a) stays below the cap, so the
-raw deadline serves as D_p.)  A segment tree over the distinct
-releases finds the last a <= r_p that breaks it, a*.  If there is one, p's
-circuit is p plus every member of S released at or after a*, and the circuit's
-lowest member in the greedy order leaves (a max tree of greedy ranks over the
-chosen packets, by release, finds it).  The witness slots are EDF over the
-chosen set.
-
-offline_optimal runs the chain shift and drops it for the exchange as soon as
-the slots walked past the releases of the first i packets in greedy order add
-up to more than WALK_BUDGET * log2(n) * i.  At i = n that is WALK_BUDGET *
-n*log2(n); checking every prefix drops a walk that runs long within a few
-hundred packets.  The largest walk / (i*log2 n) over all prefixes: 1.87 on
-7200 instances of the nine table1 sweep cells (n <= 40, max slack 8, sweep
-seeds 0, 7, 801 and 901) and 0.31 on 100 bursts of 30 general packets 5000
-steps apart, so both stay on the chain shift.  On the lower-bound family the
-budget trips at the 240th, 255th, 272nd and 486th packet for k = 6, 8, 10 and
-12 (of 341, 1463, 6033 and 24 419); a budget on the total alone trips at the
-1768th at k = 10 and the 3822nd at k = 12.  The exchange solves k = 12 in
-about 0.3 s where the chain shift took 14.5 s.  On the sweep's instances the
-exchange alone takes about 5x the chain shift's time, so neither solver is
-best everywhere.  An exhaustive oracle cross-checks both on small instances.
+The walk has two modes that place every packet on the same slot.  The plain
+walk steps slot by slot: cheap on short windows, O(n^2) in the worst case.
+The jump walk goes straight to the next slot that is free or holds a later
+deadline than the carried packet, found in a max tree of occupant deadlines
+over the timeline, so O(log n) a swap.  The chain shift starts plain and
+switches to jumping, keeping the assignment it has, once the slots walked
+past the releases of the first i packets in greedy order reach
+WALK_BUDGET * log2(n) * i.  The largest walk / (i*log2 n) over all
+prefixes: 1.87 on 7200 instances of the nine table1 sweep cells (n <= 40,
+max slack 8, sweep seeds 0, 7, 801 and 901) and 0.31 on 100 bursts of 30
+general packets 5000 steps apart, so both stay on the plain walk; jumping
+from the start takes about 3.3x as long on the sweep's instances.  On the
+lower-bound family the walk switches after the 240th, 255th, 272nd and
+486th packet for k = 6, 8, 10 and 12 (of 341, 1463, 6033 and 24 419).  At
+k = 10 the plain walk alone would step over 6.18 million slots and swap at
+only 4032 of them.  An exhaustive oracle cross-checks the solver on small
+instances.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import UNBOUNDED, Frozen, Instance, Packet
 from .policies import PolicyParams, simulate
@@ -81,13 +75,15 @@ def _walk_budget(n: int) -> float:
     return WALK_BUDGET * math.log2(max(n, 1))
 
 
-def _chain_shift(order: Iterable[Packet], cap: int, budget: float) -> dict[int, Packet] | None:
+def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, Packet]:
     """Insert the packets of `order` one by one into a deadline-ordered slot
     assignment, shifting later-deadline occupants right; a packet with no
-    augmenting placement is left out.  Returns slot -> packet, or None as soon
-    as the slots walked past the releases of the first i packets add up to
-    more than `budget` * i.  Under _walk_budget that is packet 240, 255, 272
-    and 486 of the lower-bound family at k = 6, 8, 10 and 12."""
+    augmenting placement is left out.  Returns slot -> packet.  The walk steps
+    slot by slot until the slots walked past the releases of the first i
+    packets reach `budget` * i; _jump_walk then places the rest.  Under
+    _walk_budget that is after packet 240, 255, 272 and 486 of the lower-bound
+    family at k = 6, 8, 10 and 12; budget inf never jumps and budget 0 jumps
+    from the second packet on."""
     slots: dict[int, Packet] = {}
     walked = 0
     for i, p in enumerate(order, 1):
@@ -108,127 +104,80 @@ def _chain_shift(order: Iterable[Packet], cap: int, budget: float) -> dict[int, 
             for s, old in trail:
                 slots[s] = old
         walked += t - p.release
-        if walked > budget * i:
-            return None
+        if walked >= budget * i and i < len(order):
+            return _jump_walk(order, i, slots)
     return slots
 
 
-def _exchange(order: Sequence[Packet]) -> list[Packet]:
-    """The max-weight independent set of the greedy order `order`, built in
-    deadline order by matroid exchange; O(n log n).  The slot cap needs no
-    place here: a + C(a) <= max release + n - 1 < cap, so a deadline at or
-    past the cap never fails the check."""
-    n = len(order)
-    releases = sorted({p.release for p in order})
-    rel_index = {a: i for i, a in enumerate(releases)}
-    # Release tree over the distinct releases a_i.  cnt[node] is the number of
-    # chosen packets released in the node's range; best[node] is the max over
-    # its a_i of a_i + (chosen released in the range at or after a_i).  So
-    # a_i + C(a_i) is best of a leaf plus cnt of everything to its right, and
-    # choosing a packet adds 1 to the whole prefix a_0..r_p.
-    size = 1 << len(releases).bit_length()  # > len(releases): a prefix never spans the root
-    best = [0] * (2 * size)  # 0 pads: never above a deadline
-    cnt = [0] * (2 * size)
-    best[size : size + len(releases)] = releases
-    for node in range(size - 1, 0, -1):
-        best[node] = max(best[2 * node], best[2 * node + 1])
-    # Rank tree: leaf per packet in release order, holding its greedy rank
-    # while chosen and -1 otherwise, under a max.
-    by_release = sorted(range(n), key=lambda k: order[k].release)
-    pos = [0] * n
-    for j, k in enumerate(by_release):
-        pos[k] = j
-    first = [0] * len(releases)  # first rank-tree position of each release
-    for j in range(n - 1, -1, -1):
-        first[rel_index[order[by_release[j]].release]] = j
-    rsize = 1 << max(n - 1, 0).bit_length()
-    ranks = [-1] * (2 * rsize)
-
-    def count(i: int, step: int) -> None:
-        node = size + i
-        cnt[node] += step
-        best[node] += step
-        node >>= 1
-        while node:
-            left = 2 * node
-            c = cnt[left + 1]
-            cnt[node] = cnt[left] + c
-            b = best[left] + c
-            best[node] = b if b > best[left + 1] else best[left + 1]
-            node >>= 1
-
-    def rank(j: int, value: int) -> None:
-        node = rsize + j
-        ranks[node] = value
-        node >>= 1
-        if value >= 0:
-            while node and ranks[node] < value:
-                ranks[node] = value
-                node >>= 1
-            return
-        while node:
-            left, right = ranks[2 * node], ranks[2 * node + 1]
-            top = left if left > right else right
-            if ranks[node] == top:
-                break
-            ranks[node] = top
-            node >>= 1
-
-    # Canonical nodes of each prefix a_0..a_i, right to left.
-    prefixes = []
-    for i in range(len(releases)):
-        nodes = []
-        node = size + i + 1
-        while node > 1:
-            if node & 1:
-                nodes.append(node - 1)
-            node >>= 1
-        prefixes.append(nodes)
-
-    chosen = 0
-    for k in sorted(range(n), key=lambda k: order[k].deadline):
-        p = order[k]
-        i = rel_index[p.release]
-        # The last release a <= r_p with a + C(a) > d_p, if any.
-        nodes = prefixes[i]
-        right = chosen
-        for node in nodes:
-            right -= cnt[node]
-        violated = -1
-        for node in nodes:
-            if best[node] + right > p.deadline:
+def _jump_walk(order: Sequence[Packet], start: int, slots: dict[int, Packet]) -> dict[int, Packet]:
+    """The chain shift of order[start:] onto `slots`, the assignment of the
+    packets before it, with each walk jumping straight to the next slot that
+    is free or holds a later deadline than the carried packet: a max tree of
+    occupant deadlines finds it in O(log n).  The tree's leaves are the n
+    slots of the ASAP timeline, every packet sent as early as its release
+    allows (deadlines ignored); see the module docstring for why every slot
+    a walk reaches lies on it.  The timeline ends before the slot cap, so
+    only a deadline ends a walk."""
+    timeline = []
+    t = 0
+    for r in sorted(p.release for p in order):
+        t = t + 1 if r <= t else r
+        timeline.append(t)
+    index = {s: j for j, s in enumerate(timeline)}
+    size = 1 << len(timeline).bit_length()  # > n: a padded leaf ends every search
+    timeline += [math.inf] * (size - len(timeline))  # past every last slot
+    # A leaf holds its occupant's deadline, `top` for UNBOUNDED (above every
+    # bounded one) or top + 1 when the slot is free.
+    top = max((p.deadline for p in order if p.deadline != UNBOUNDED), default=0) + 1
+    tree = [top + 1] * (2 * size)
+    held: list[Packet | None] = [None] * size
+    for s, p in slots.items():
+        j = index[s]
+        held[j] = p
+        tree[size + j] = min(p.deadline, top)
+    level = size
+    while level > 1:
+        tree[level // 2 : level] = map(max, tree[level : 2 * level : 2], tree[level + 1 : 2 * level : 2])
+        level //= 2
+    for p in order[start:]:
+        carry = p
+        j = index[p.release]
+        chain = []
+        while True:
+            d = carry.deadline
+            key = d if d < top else top
+            node = size + j
+            if tree[node] <= key:  # climb to the first right sibling above key, then descend
+                while node & 1 or tree[node + 1] <= key:
+                    node >>= 1
+                node += 1
                 while node < size:
-                    node = 2 * node + 1
-                    if best[node] + right <= p.deadline:
-                        right += cnt[node]
-                        node -= 1
-                violated = node - size
+                    node <<= 1
+                    if tree[node] <= key:
+                        node += 1
+                j = node - size
+            if timeline[j] > d:
+                break  # the packet is left out; nothing was written
+            chain.append((j, carry))
+            carry = held[j]
+            if carry is None:
+                # Every query looked right of the slots before it, so writing
+                # the chain now changes none of its answers.
+                for j, q in chain:
+                    held[j] = q
+                    node = size + j
+                    tree[node] = min(q.deadline, top)
+                    node >>= 1
+                    while node:
+                        a, b = tree[2 * node], tree[2 * node + 1]
+                        m = a if a > b else b
+                        if tree[node] == m:
+                            break
+                        tree[node] = m
+                        node >>= 1
                 break
-            right += cnt[node]
-        if violated >= 0:
-            # The circuit is p plus every chosen packet released at or after
-            # a*; drop its lowest member in the greedy order.
-            lo, hi, low = first[violated] + rsize, n + rsize, -1
-            while lo < hi:
-                if lo & 1:
-                    if ranks[lo] > low:
-                        low = ranks[lo]
-                    lo += 1
-                if hi & 1:
-                    hi -= 1
-                    if ranks[hi] > low:
-                        low = ranks[hi]
-                lo >>= 1
-                hi >>= 1
-            if low < k:
-                continue
-            count(rel_index[order[low].release], -1)
-            rank(pos[low], -1)
-            chosen -= 1
-        count(i, 1)
-        rank(pos[k], k)
-        chosen += 1
-    return [order[k] for k in by_release if ranks[rsize + pos[k]] >= 0]
+            j += 1
+    return {timeline[j]: q for j, q in enumerate(held) if q is not None}
 
 
 def _edf_slots(packets: Sequence[Packet], cap: int) -> list[tuple[int, int]] | None:
@@ -259,13 +208,8 @@ def offline_optimal(inst: Instance) -> OffSchedule:
     cap = inst.slot_cap()
     order = sorted(inst.packets, key=_priority)
     slots = _chain_shift(order, cap, _walk_budget(len(order)))
-    if slots is not None:
-        chosen: Sequence[Packet] = list(slots.values())
-        assignments = [(p.id, s) for s, p in slots.items()]
-    else:
-        chosen = _exchange(order)
-        assignments = _edf_slots(chosen, cap)
-    return OffSchedule(tuple(sorted(assignments)), math.fsum(p.value for p in chosen))
+    assignments = tuple(sorted((p.id, s) for s, p in slots.items()))
+    return OffSchedule(assignments, math.fsum(p.value for p in slots.values()))
 
 
 def brute_force_optimal(inst: Instance) -> OffSchedule:
@@ -279,7 +223,7 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
     best: list[tuple[int, int]] = []
     for r in range(len(packets), 0, -1):
         for subset in combinations(packets, r):
-            value = sum(p.value for p in subset)
+            value = math.fsum(p.value for p in subset)
             if value > best_value:
                 slots = _edf_slots(subset, cap)
                 if slots is not None:

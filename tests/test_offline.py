@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 from random import Random
 
 import pytest
 
 from conftest import assignment_opt, inst_of, mk
+from mgsched import offline
 from mgsched.analysis import derive_seed, table1_cells
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound
 from mgsched.model import ALL_VARIANTS, UNBOUNDED, Instance, Packet
@@ -13,8 +16,6 @@ from mgsched.offline import (
     RatioReport,
     SizeLimitError,
     _chain_shift,
-    _exchange,
-    _walk_budget,
     brute_force_optimal,
     empirical_ratio,
     offline_optimal,
@@ -131,29 +132,37 @@ def test_ratio_csv_row_shape():
 
 
 # ---------------------------------------------------------------------------
-# The two exact solvers: the chain shift and the matroid exchange.
+# The chain shift's two walk modes, which place every packet on the same slot:
+# the plain walk (budget inf, never jumps) and the jump walk (budget 0, which
+# jumps from the second packet on).  "Both solvers" below are these two modes.
+
+PLAIN, JUMP = math.inf, 0
 
 
 def _order(inst: Instance) -> list[Packet]:
     return sorted(inst.packets, key=_priority)
 
 
-def _shift_ids(inst: Instance) -> set[int]:
-    slots = _chain_shift(_order(inst), inst.slot_cap(), math.inf)
-    return {p.id for p in slots.values()}
+def _shift(inst: Instance, budget: float) -> dict[int, Packet]:
+    return _chain_shift(_order(inst), inst.slot_cap(), budget)
 
 
-def _exchange_ids(inst: Instance) -> set[int]:
-    return {p.id for p in _exchange(_order(inst))}
+def _value(inst: Instance, budget: float) -> float:
+    return math.fsum(p.value for p in _shift(inst, budget).values())
 
 
-def _exchange_value(inst: Instance) -> float:
-    return math.fsum(p.value for p in _exchange(_order(inst)))
+@pytest.fixture
+def jump_starts(monkeypatch) -> list[int]:
+    """The packets the plain walk placed before each switch to jumping."""
+    starts: list[int] = []
+    jump = offline._jump_walk
 
+    def spy(order, start, slots):
+        starts.append(start)
+        return jump(order, start, slots)
 
-def _shift_within_budget(inst: Instance) -> bool:
-    order = _order(inst)
-    return _chain_shift(order, inst.slot_cap(), _walk_budget(len(order))) is not None
+    monkeypatch.setattr(offline, "_jump_walk", spy)
+    return starts
 
 
 def test_both_solvers_equal_the_assignment_oracle_at_hundreds_of_packets():
@@ -164,7 +173,8 @@ def test_both_solvers_equal_the_assignment_oracle_at_hundreds_of_packets():
                                     seed=rng.getrandbits(48)))
             want = assignment_opt(inst)  # dyadic values: every sum is exact
             assert offline_optimal(inst).total_value == want, variant
-            assert _exchange_value(inst) == want, variant
+            assert _value(inst, PLAIN) == want, variant
+            assert _value(inst, JUMP) == want, variant
 
 
 def test_both_solvers_match_the_assignment_oracle_on_the_lower_bound_family():
@@ -172,74 +182,117 @@ def test_both_solvers_match_the_assignment_oracle_on_the_lower_bound_family():
         inst = generate_lower_bound(LowerBoundSpec(k, 1e-6))
         want = assignment_opt(inst)  # values are not dyadic: sums depend on order
         assert offline_optimal(inst).total_value == pytest.approx(want, rel=1e-9, abs=0.0), k
-        assert _exchange_value(inst) == pytest.approx(want, rel=1e-9, abs=0.0), k
+        assert _value(inst, PLAIN) == pytest.approx(want, rel=1e-9, abs=0.0), k
+        assert _value(inst, JUMP) == pytest.approx(want, rel=1e-9, abs=0.0), k
 
 
-def test_exchange_equals_brute_force_on_small_instances():
+def test_jump_walk_equals_brute_force_on_small_instances():
     rng = Random(14)
     for _ in range(300):
         inst = generate(GenSpec(rng.choice(ALL_VARIANTS), rng.randint(1, 10), max_slack=rng.choice((1, 3, 8)),
                                 seed=rng.getrandbits(48)))
-        assert _exchange_value(inst) == brute_force_optimal(inst).total_value
+        assert _value(inst, JUMP) == brute_force_optimal(inst).total_value
 
 
 def test_both_solvers_choose_the_same_set():
+    # The same slot for every packet, not just the same set.
     rng = Random(16)
     for _ in range(300):
         inst = generate(GenSpec(rng.choice(ALL_VARIANTS), rng.randint(1, 60), max_slack=rng.choice((1, 3, 8, 20)),
                                 seed=rng.getrandbits(48)))
-        assert _shift_ids(inst) == _exchange_ids(inst)
+        assert _shift(inst, PLAIN) == _shift(inst, JUMP)
     # equal values: the strict (-value, deadline, id) order alone decides
     tied = Instance(tuple(Packet(i, 1 + i % 3, 1 + i % 3 + i % 5, 1.0) for i in range(12)))
-    assert _shift_ids(tied) == _exchange_ids(tied)
+    assert _shift(tied, PLAIN) == _shift(tied, JUMP)
+    # unbounded deadlines and bounded ones past the cap, which swap only with each other
+    far = Instance(tuple(Packet(i, 1 + i % 4, (UNBOUNDED, 10**6 + i % 3, 2 + i % 4)[i % 3], 1.0 + i % 2)
+                         for i in range(30)))
+    assert _shift(far, PLAIN) == _shift(far, JUMP)
     for k in range(1, 9):
         inst = generate_lower_bound(LowerBoundSpec(k, 1e-6))
-        assert _shift_ids(inst) == _exchange_ids(inst), k
+        assert _shift(inst, PLAIN) == _shift(inst, JUMP), k
 
 
-def test_exchange_path_returns_a_valid_witness():
+def test_jump_walk_returns_a_valid_witness(jump_starts):
     inst = generate_lower_bound(LowerBoundSpec(8, 1e-6))
-    assert not _shift_within_budget(inst)  # so offline_optimal takes the exchange solver
     sched = offline_optimal(inst)
+    assert jump_starts  # so offline_optimal's chain shift switched to jumping
     by_id = {p.id: p for p in inst.packets}
     slots = [slot for _, slot in sched.assignments]
-    assert len(slots) == len(set(slots)) == len(_exchange_ids(inst))
+    assert len(slots) == len(set(slots)) == len(_shift(inst, JUMP))
     for pid, slot in sched.assignments:
         assert by_id[pid].release <= slot <= min(by_id[pid].deadline, inst.slot_cap())
     assert sched.total_value == math.fsum(by_id[pid].value for pid, _ in sched.assignments)
 
 
-def test_chain_shift_gives_up_early_on_the_lower_bound_family():
-    # The budget grows with the packets read, so a long walk is dropped near
-    # the start of the greedy order rather than after a fixed total.
-    inst = generate_lower_bound(LowerBoundSpec(10, 1e-6))
-    order = _order(inst)
-    read = 0
-
-    def counted():
-        nonlocal read
-        for p in order:
-            read += 1
-            yield p
-
-    assert _chain_shift(counted(), inst.slot_cap(), _walk_budget(len(order))) is None
-    assert read <= 300, read  # 272 of 6033 packets
+def test_chain_shift_gives_up_early_on_the_lower_bound_family(jump_starts):
+    # The budget grows with the packets read, so a long walk switches to
+    # jumping near the start of the greedy order rather than after a fixed total.
+    offline_optimal(generate_lower_bound(LowerBoundSpec(10, 1e-6)))
+    assert len(jump_starts) == 1 and jump_starts[0] <= 300, jump_starts  # 272 of 6033 packets
 
 
-def test_walk_budget_sends_each_benchmark_shape_to_its_solver():
-    # The adversarial family's chain shift walks far past n*log2(n) slots.
-    assert not _shift_within_budget(generate_lower_bound(LowerBoundSpec(8, 1e-6)))
-    # The ratio sweep's instances (the nine table1 cells, n <= 40) stay on the chain shift.
+def test_walk_budget_sends_each_benchmark_shape_to_its_solver(jump_starts):
+    # The adversarial family's walk goes far past log2(n) slots a packet.
+    offline_optimal(generate_lower_bound(LowerBoundSpec(8, 1e-6)))
+    assert jump_starts
+    jump_starts.clear()
+    # The ratio sweep's instances (the nine table1 cells, n <= 40) stay on the plain walk.
     for cell in table1_cells():
         for trial in range(200):
             seed = derive_seed(0, cell.variant, trial)
             n = Random(seed).randint(1, cell.n)
-            inst = generate(GenSpec(cell.variant, n, max_slack=cell.max_slack, seed=seed))
-            assert _shift_within_budget(inst), (cell.variant, trial)
+            offline_optimal(generate(GenSpec(cell.variant, n, max_slack=cell.max_slack, seed=seed)))
+            assert not jump_starts, (cell.variant, trial)
     # So do 100 bursts of 30 general packets, 5000 steps apart.
     rng = Random(18)
     packets = []
     for b in range(100):
         burst = generate(GenSpec("general", 30, max_slack=8, seed=rng.getrandbits(32)))
         packets.extend(Packet(30 * b + p.id, p.release + 5000 * b, p.deadline + 5000 * b, p.value) for p in burst)
-    assert _shift_within_budget(Instance(tuple(packets)))
+    offline_optimal(Instance(tuple(packets)))
+    assert not jump_starts
+
+
+def test_chain_shift_reproduces_the_chosen_sets_of_the_lower_bound_family():
+    # Past the oracles' reach: sha256 of the sorted chosen ids, recorded from
+    # the matroid exchange solver this chain shift replaced.
+    want = {
+        9: "c9285df5ff84a8e88077bb92f6fab497b3f8fa1c92902b0d250b8a0ae54af3f4",
+        10: "4a1fdbb3383aa5e3a5d9a85008f7f525cc5db795eee91b892efa63faec1ee182",
+        12: "8ceced2e0cdd9c8d1681805f81cc58b4ebd62f892ad1c0c46c3d52605ddf5534",
+    }
+    for k, digest in want.items():
+        sched = offline_optimal(generate_lower_bound(LowerBoundSpec(k, 1e-6)))
+        ids = ",".join(map(str, sorted(pid for pid, _ in sched.assignments)))
+        assert hashlib.sha256(ids.encode()).hexdigest() == digest, k
+
+
+def test_chain_shift_cost_follows_the_packets_not_the_release_span():
+    near = generate_lower_bound(LowerBoundSpec(8, 1e-6))
+    shift = 10**9
+    far = Instance(tuple(
+        Packet(p.id, p.release + shift, p.deadline if p.deadline == UNBOUNDED else p.deadline + shift, p.value)
+        for p in near.packets
+    ))
+
+    def solve(inst):
+        tracemalloc.start()
+        try:
+            sched = offline_optimal(inst)
+            return sched, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    near_sched, near_peak = solve(near)
+    far_sched, far_peak = solve(far)
+    assert [pid for pid, _ in far_sched.assignments] == [pid for pid, _ in near_sched.assignments]
+    assert far_sched.total_value == near_sched.total_value
+    assert far_peak <= 2 * near_peak, (far_peak, near_peak)
+
+
+def test_brute_force_adds_each_subset_exactly():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 in left-to-right float adds.
+    inst = inst_of(mk(0, 1, 3, 0.1), mk(1, 1, 3, 0.2), mk(2, 1, 3, 0.3))
+    assert brute_force_optimal(inst).total_value == 0.6
+    assert offline_optimal(inst).total_value == 0.6
