@@ -13,7 +13,7 @@ import math
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
-from .generators import GenSpec, generate
+from .generators import GenSpec, _draws, generate
 from .model import (
     ALL_VARIANTS,
     PHI,
@@ -190,8 +190,7 @@ def derive_seed(base_seed: int, label: str, trial: int) -> int:
 def _run_trial(task: tuple[SweepCell, int, int]) -> tuple[float, int]:
     cell, base_seed, trial = task
     seed = derive_seed(base_seed, cell.variant, trial)
-    size_rng = Random(seed)
-    n = size_rng.randint(1, cell.n)
+    n = 1 + _draws(Random(seed).getrandbits, cell.n, 1)[0]  # generators' draw rule
     inst = generate(GenSpec(cell.variant, n, max_slack=cell.max_slack, seed=seed))
     report = empirical_ratio(inst, cell.params)
     return report.ratio, seed

@@ -30,7 +30,7 @@ from .model import (
     load_instance,
 )
 from .offline import RATIO_CSV_HEADER, empirical_ratio, offline_optimal, ratio_csv_row
-from .policies import PolicyParams, dump_trace, simulate
+from .policies import PolicyKind, PolicyParams, dump_trace, simulate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,14 +66,13 @@ POLICY_CHOICES = ("mg", "edf", "greedy")  # greedy is MG(1, 1)
 
 
 def _policy_from_args(args) -> PolicyParams:
-    """The policy of `--policy`, `--alpha` and `--beta`; no `--policy` means MG."""
+    """The policy of `--policy`, `--alpha` and `--beta`; no `--policy` means MG.
+    PolicyParams refuses a beta other than 1 for EDF."""
     alpha = parse_alpha(args.alpha)
     beta = parse_alpha(args.beta)
     if args.policy == "greedy":  # --alpha and --beta are parsed but do not apply
         return PolicyParams.mg(1.0, 1.0)
-    if args.policy == "edf":
-        return PolicyParams.edf(alpha)
-    return PolicyParams.mg(alpha, beta)
+    return PolicyParams(PolicyKind.EDF_ALPHA if args.policy == "edf" else PolicyKind.MG, alpha, beta)
 
 
 def _add_policy_flags(sub) -> None:
@@ -118,10 +117,11 @@ def build_parser() -> _Parser:
     sw.add_argument("--n", type=int, default=40)
     sw.add_argument("--max-slack", type=int, default=8)
     # With none of these three, the sweep runs the table-1 cells; otherwise
-    # every cell runs the one policy they give, alpha and beta defaulting to phi.
+    # every cell runs the one policy they give, alpha defaulting to phi and
+    # beta to phi (1 for edf).
     sw.add_argument("--policy", choices=POLICY_CHOICES, default=None)
     sw.add_argument("--alpha", default=None, help="float, or inf / phi / phi2 (default phi)")
-    sw.add_argument("--beta", default=None, help="float, or phi / phi2 (default phi)")
+    sw.add_argument("--beta", default=None, help="float, or phi / phi2 (default phi; 1 for edf)")
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--csv-out", default=None)
 
@@ -213,7 +213,7 @@ def _cmd_sweep(args) -> int:
         if args.alpha is None:
             args.alpha = "phi"
         if args.beta is None:
-            args.beta = "phi"
+            args.beta = "1" if args.policy == "edf" else "phi"
         params = _policy_from_args(args)
         cells = [SweepCell(name, params, args.n, args.max_slack) for name in names]
     report = sweep(cells, trials=args.trials, seed=args.seed, jobs=args.jobs)

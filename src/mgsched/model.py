@@ -268,15 +268,18 @@ def packet_to_obj(p: Packet) -> dict:
 def packet_from_obj(obj: dict) -> Packet:
     """The packet of one JSON object, which must hold integer id, release and
     deadline (null for UNBOUNDED) and a numeric value, an integer one only if a
-    float holds it exactly.  Nothing is truncated or coerced; a missing or
-    mistyped field raises ValueError.  Range rules are left to
-    validate_instance."""
+    float holds it exactly, and no other key.  Nothing is truncated, coerced
+    or dropped; a missing, mistyped or unknown field raises ValueError.
+    Range rules are left to validate_instance."""
     if not isinstance(obj, dict):
         raise ValueError(f"a packet must be a JSON object, got {obj!r}")
     try:
         pid, release, deadline, value = obj["id"], obj["release"], obj["deadline"], obj["value"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None
+    if len(obj) != 4:  # the four fields are there, so some other key is too
+        extra = [k for k in obj if k not in ("id", "release", "deadline", "value")]
+        raise ValueError(f"unknown field {', '.join(map(repr, extra))}")
     # Exact type tests: JSON true is a bool, which must not pass as 1.
     if type(pid) is not int:
         raise ValueError(f"id must be an integer, got {pid!r}")
@@ -355,6 +358,8 @@ def load_instance(fp: IO[str]) -> Instance:
             if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
                 if not isinstance(obj["meta"], dict):
                     raise ValueError(f"meta must be a JSON object, got {obj['meta']!r}")
+                if len(obj) != 1:
+                    raise ValueError(f"unknown field {', '.join(repr(k) for k in obj if k != 'meta')} beside meta")
                 if meta is not None or packets:
                     raise ValueError("a meta line may come only once, before every packet")
                 meta = obj["meta"]

@@ -14,19 +14,18 @@ through two events, a packet's arrival (insert) and the send that ends a step
 Packets with the same deadline lie in the same feasibility constraints, so the
 schedule keeps a prefix of each deadline's pending packets taken in (-value,
 id) order.  IncrementalSchedule therefore stores, per distinct pending
-deadline, those packets in that order, their exact integer keys (-units, id)
-in the same order, and the length of the scheduled prefix, plus a running
-count of scheduled packets; an event costs at most O(G) for G distinct
-pending deadlines, and a send costs O(1) besides the list edits when no
-deadline ahead of the sent packet's is tight.  A packet's value in units
-(whole multiples of 2**-1074) lives only in its key, so insert and send bisect
-the keys in C, with no key function.
+deadline, one list of entries (-units, id, packet) in that order and the
+length of its scheduled prefix, plus a running count of scheduled packets; an
+event costs at most O(G) for G distinct pending deadlines, and a send of a
+scheduled packet of the first pending deadline costs O(1) besides the list
+edits.  A packet's value in units (whole multiples of 2**-1074) lives only in
+its entry, so insert and send bisect the entries in C, with no key function.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import islice
 from typing import Sequence
 
 from .model import UNBOUNDED, Packet
@@ -98,40 +97,41 @@ class IncrementalSchedule:
     Packets with the same deadline lie in exactly the same constraints, so
     the greedy schedules a prefix of each deadline's pending packets taken in
     (-value, id) order: once it rejects one, it rejects every later one.  The
-    store is therefore one list per distinct pending deadline, in that order,
-    with a count of its scheduled prefix.  Beside each list of packets is a
-    sorted list of their keys (-units, id), where units is the value as an
-    exact whole number of 2**-1074: units rise strictly with value, so the key
-    order is the (-value, id) order, and a packet's units are read from its
-    key, never stored elsewhere.  A running count of scheduled packets tells
-    whether any pending packet is rejected, and skips the scan for a tight
-    deadline when fewer packets are scheduled than there are slots up to the
-    first deadline it would look at.
+    store is therefore one list per distinct pending deadline, of entries
+    (-units, id, packet) in that order, with a count of its scheduled prefix.
+    Units are the value as an exact whole number of 2**-1074: they rise
+    strictly with value, so the entry order is the (-value, id) order, and a
+    packet's units are read from its entry, never stored elsewhere.  Ids are
+    unique, so bisecting a list with the probe (-units, id) never compares
+    two packets.  A running count of scheduled packets tells whether any
+    pending packet is rejected, and skips the scan for a tight deadline when
+    fewer packets are scheduled than there are slots up to the first
+    deadline it would look at.
 
     - insert: a packet behind a rejected packet of its own deadline is
       rejected.  Otherwise it closes a circuit iff some deadline D >= its own
       is tight; the circuit is the newcomer plus every scheduled packet with
       deadline <= the first such D, and its lowest member is rejected.
     - send(f) at time t: f leaves, the clock moves to t+1, and rejected
-      packets due at t expire.  At t+1 a deadline D has D - t slots.  For a
-      scheduled f with deadline d_f:
-      - Fast path: no deadline D < d_f is tight.  Then the next schedule is
-        S - f.  Every deadline from d_f on lost f, so it fits in one slot
-        fewer, and every deadline below d_f had a slot to spare.  A rejected
-        packet r was rejected at a tight deadline D >= d_r, which is then at
-        least d_f, so D stays tight at t+1; r still closes a circuit, made of
-        packets that all outranked it at t, and stays rejected.  Sending the
-        first scheduled packet always takes this path, and when it lies in
-        the first pending deadline no scan is made at all.
-      - Slow path: T1 is the first tight deadline and B the last one below
-        d_f, both found by one scan up to d_f.  Deleting f frees a place past
-        B, which the best rejected packet with a deadline past B takes; the
+      packets due at t expire.  At t+1 a deadline D has D - t slots.  One
+      scan finds T1 and B, the first and the last tight deadline: below d_f
+      if f was scheduled, anywhere if not.
+      - A scheduled f and no such T1: the next schedule is S - f.  Every
+        deadline from d_f on lost f, so it fits in one slot fewer, and every
+        deadline below d_f had a slot to spare.  A rejected packet r was
+        rejected at a tight deadline D >= d_r, which is then at least d_f,
+        so D stays tight at t+1; r still closes a circuit, made of packets
+        that all outranked it at t, and stays rejected.  Sending the first
+        scheduled packet always falls here, and when it lies in the first
+        pending deadline no scan is made at all.
+      - A scheduled f below a tight T1: deleting f frees a place past B,
+        which the best rejected packet with a deadline past B takes; the
         lost slot t then closes the circuit through T1 (as a top-priority
         packet due at t would), so the lowest scheduled packet with deadline
         <= T1 is rejected.  T1 <= B, so neither change moves what the other
         reads.
-      A rejected f leaves the schedule as it is; only the lost slot t rejects
-      the lowest scheduled packet through the first tight deadline.
+      - A rejected f leaves the schedule as it is; only the lost slot t
+        rejects the lowest scheduled packet through T1.
 
     A deadline's last scheduled packet is its lowest and its first rejected
     packet its best; rejecting one or re-admitting one moves a count by one.
@@ -150,11 +150,10 @@ class IncrementalSchedule:
         self.time = time
         self.pending_count = 0  # pending packets, scheduled or rejected
         # Per distinct pending deadline, ascending (UNBOUNDED last): its
-        # packets in (-value, id) order, their keys (-units, id) in the same
-        # order, and how many of them, from the front, are scheduled.
+        # entries (-units, id, packet) in (-value, id) order, and how many of
+        # them, from the front, are scheduled.
         self._deadlines: list[float] = []
-        self._packets: list[list[Packet]] = []
-        self._keys: list[list[tuple[int, int]]] = []
+        self._entries: list[list[tuple[int, int, Packet]]] = []
         self._counts: list[int] = []
         self._scheduled = 0  # sum(self._counts)
         self._value = 0  # the scheduled packets' values, summed in units
@@ -165,38 +164,35 @@ class IncrementalSchedule:
 
     def snapshot(self) -> tuple[Packet, ...]:
         """The schedule as optimal_provisional_schedule would return it."""
-        return tuple(chain.from_iterable(islice(g, n) for g, n in zip(self._packets, self._counts)))
+        return tuple(e[2] for g, n in zip(self._entries, self._counts) for e in islice(g, n))
 
     def heads(self) -> list[Packet]:
         """First packet of each pending deadline, scheduled or rejected, in order."""
-        return [g[0] for g in self._packets]
+        return [g[0][2] for g in self._entries]
 
     def group_heads(self) -> list[Packet]:
         """First packet of each deadline (UNBOUNDED is one deadline), in order."""
-        return [g[0] for g, n in zip(self._packets, self._counts) if n]
+        return [g[0][2] for g, n in zip(self._entries, self._counts) if n]
 
     def insert(self, p: Packet) -> None:
         """Add an arriving packet, rejecting the lowest of the circuit it closes."""
         units = _units(p.value)
-        key = (-units, p.id)
         dl, d = self._deadlines, p.deadline
         j = bisect_left(dl, d)
         self.pending_count += 1
         if j < len(dl) and dl[j] == d:
-            keys = self._keys[j]
-            i = bisect_left(keys, key)
-            keys.insert(i, key)
-            self._packets[j].insert(i, p)
+            group = self._entries[j]
+            i = bisect_left(group, (-units, p.id))
+            group.insert(i, (-units, p.id, p))
             if i > self._counts[j]:  # behind a rejected packet of its deadline
                 return
         else:
             dl.insert(j, d)
-            self._packets.insert(j, [p])
-            self._keys.insert(j, [key])
+            self._entries.insert(j, [(-units, p.id, p)])
             self._counts.insert(j, 0)
         # No deadline from d on is tight while fewer packets are scheduled
         # than there are slots up to d; that holds for UNBOUNDED too.
-        tight = None if self._scheduled < d - self.time + 1 else self._first_tight(j)
+        tight = None if self._scheduled < d - self.time + 1 else self._tight(j, len(dl))[0]
         self._counts[j] += 1
         self._scheduled += 1
         self._value += units
@@ -208,31 +204,27 @@ class IncrementalSchedule:
         return the ids of the packets that expire, sorted."""
         dl, counts = self._deadlines, self._counts
         j = bisect_left(dl, p.deadline)
-        keys, group = self._keys[j], self._packets[j]
-        # Both policies send a deadline's first packet: no key to rebuild.
-        i = 0 if group[0] is p else bisect_left(keys, (-_units(p.value), p.id))
-        neg_units = keys.pop(i)[0]
-        del group[i]
+        group = self._entries[j]
+        # Both policies send a deadline's first packet: no probe to build.
+        i = 0 if group[0][2] is p else bisect_left(group, (-_units(p.value), p.id))
+        neg_units = group.pop(i)[0]
         self.pending_count -= 1
         scheduled = i < counts[j]
         if scheduled:
             counts[j] -= 1
             self._scheduled -= 1
             self._value += neg_units
-        if not keys:
-            del dl[j], self._packets[j], self._keys[j], counts[j]
-        if not scheduled:
-            first = self._first_tight(0)  # the lost slot `time` acts as a top packet due then
-        elif j:
-            first, last = self._tight_before(j)
-            if first is not None and self._scheduled < self.pending_count:
-                best = self._best_rejected_after(last)
-                if best is not None:
-                    self._value -= self._keys[best][counts[best]][0]
-                    counts[best] += 1
-                    self._scheduled += 1
-        else:
-            first = None  # no deadline is ahead of p's
+        if not group:
+            del dl[j], self._entries[j], counts[j]
+        # A rejected p's lost slot `time` acts as a top packet due then, so
+        # a tight deadline anywhere counts; a scheduled p's only below it.
+        first, last = self._tight(0, j if scheduled else len(dl))
+        if scheduled and first is not None and self._scheduled < self.pending_count:
+            best = self._best_rejected_after(last)
+            if best is not None:
+                self._value -= self._entries[best][counts[best]][0]
+                counts[best] += 1
+                self._scheduled += 1
         if first is not None:
             self._reject_lowest_through(first)
         self.time += 1
@@ -240,34 +232,23 @@ class IncrementalSchedule:
         # expire, whole deadlines at a time, and the scheduled count stays.
         expired: list[int] = []
         while dl and dl[0] < self.time:
-            del dl[0], self._packets[0], counts[0]
-            expired.extend(key[1] for key in self._keys.pop(0))
+            del dl[0], counts[0]
+            expired.extend(e[1] for e in self._entries.pop(0))
         self.pending_count -= len(expired)
         expired.sort()
         return expired
 
-    def _first_tight(self, j: int) -> int | None:
-        """Index of the first tight deadline from index j on, or None."""
+    def _tight(self, lo: int, hi: int) -> tuple[int | None, int]:
+        """Indices of the first and the last tight deadline in [lo, hi), or
+        (None, -1) if there is none."""
         dl, limit = self._deadlines, self.time - 1
-        if not dl or self._scheduled < dl[0] - limit:  # too few packets to fill any
-            return None
+        first, last = None, -1
+        if hi <= lo or self._scheduled < dl[0] - limit:  # too few packets to fill any
+            return first, last
         used = 0
-        for k, (d, n) in enumerate(zip(dl, self._counts)):
+        for k, d, n in zip(range(hi), dl, self._counts):
             used += n
-            if used == d - limit and k >= j:  # never for UNBOUNDED
-                return k
-        return None
-
-    def _tight_before(self, j: int) -> tuple[int | None, int]:
-        """Indices of the first and the last tight deadline before index j > 0,
-        or (None, -1) if there is none."""
-        dl, limit = self._deadlines, self.time - 1
-        if self._scheduled < dl[0] - limit:  # too few packets to fill any
-            return None, -1
-        first, last, used = None, -1, 0
-        for k, d, n in zip(range(j), dl, self._counts):
-            used += n
-            if used == d - limit:
+            if used == d - limit and k >= lo:  # never for UNBOUNDED
                 if first is None:
                     first = k
                 last = k
@@ -278,9 +259,9 @@ class IncrementalSchedule:
         to j: the last scheduled packet of some deadline."""
         # The lowest has the highest -units; on a tie, the later deadline.
         lowest, worst = -1, None
-        for k, (keys, n) in enumerate(zip(self._keys[: j + 1], self._counts)):
-            if n and (worst is None or keys[n - 1][0] >= worst):
-                lowest, worst = k, keys[n - 1][0]
+        for k, (group, n) in enumerate(zip(self._entries[: j + 1], self._counts)):
+            if n and (worst is None or group[n - 1][0] >= worst):
+                lowest, worst = k, group[n - 1][0]
         self._counts[lowest] -= 1
         self._scheduled -= 1
         self._value += worst
@@ -290,7 +271,7 @@ class IncrementalSchedule:
         rejected packet (the first rejected packet of some deadline), if any."""
         # The best has the lowest -units; on a tie, the earlier deadline.
         best, top = None, None
-        for k, (keys, n) in enumerate(zip(self._keys[j + 1 :], self._counts[j + 1 :]), j + 1):
-            if n < len(keys) and (top is None or keys[n][0] < top):
-                best, top = k, keys[n][0]
+        for k, (group, n) in enumerate(zip(self._entries[j + 1 :], self._counts[j + 1 :]), j + 1):
+            if n < len(group) and (top is None or group[n][0] < top):
+                best, top = k, group[n][0]
         return best

@@ -155,6 +155,17 @@ def test_sweep_rejects_empty_runs():
             sweep(cells, trials=4, seed=3, jobs=jobs)
 
 
+def test_sweep_never_calls_randrange(monkeypatch):
+    # Trial sizes follow the generators' draw rule, so a sweep rests on the
+    # Mersenne Twister's words, not on randrange's private algorithm.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Random.randrange was called")
+
+    monkeypatch.setattr(Random, "randrange", refuse)
+    cells = [SweepCell("general", PolicyParams.mg(PHI, PHI), n=12)]
+    assert sweep(cells, trials=40, seed=3).rows[0].trials == 40
+
+
 def test_sweep_argmax_seed_reproduces_max():
     from mgsched.generators import GenSpec, generate
     from mgsched.offline import empirical_ratio

@@ -101,6 +101,21 @@ def test_run_greedy_equals_mg11(tmp_path, capsys):
         assert "greedy" not in greedy_out
 
 
+def test_edf_refuses_a_beta_other_than_one(tmp_path, capsys):
+    # EDF_alpha is the send rule with beta = 1: an explicit --beta 3 is refused, never ignored
+    inst = tmp_path / "g.jsonl"
+    assert main(["gen", "--n", "10", "--out", str(inst)]) == EXIT_OK
+    for args in (["run", "--in", str(inst)], ["ratio", "--in", str(inst)], ["sweep", "--trials", "1"]):
+        capsys.readouterr()
+        assert main(args + ["--policy", "edf", "--alpha", "2", "--beta", "3"]) == EXIT_VALIDATION, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "EDF_alpha has beta = 1, got beta=3.0" in captured.err
+    # with no --beta, the sweep's EDF has beta = 1, where its MG defaults to phi
+    assert main(["sweep", "--trials", "2", "--n", "8", "--policy", "edf"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 9 and all("edf(a=1.61803, b=1)" in row for row in rows), rows
+
+
 def test_run_empty_instance(tmp_path, capsys):
     inst = tmp_path / "e.jsonl"
     main(["gen", "--variant", "general", "--n", "0", "--out", str(inst)])
@@ -233,6 +248,7 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
     good = '{"id": 0, "release": 1, "deadline": 3, "value": 1.0}\n'
     for line, expect in (
         ('{"id": 1, "release": 1, "value": 1.0}', "missing field 'deadline'"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": 1.0, "color": "red"}', "unknown field 'color'"),
         ("[1, 2]", "JSON object"),
         ('{"id": 1, "release": 1.7, "deadline": 3, "value": 1.0}', "release must be an integer"),
         ('{"id": 1, "release": 1, "deadline": 3.5, "value": 1.0}', "deadline must be an integer or null"),

@@ -214,6 +214,12 @@ def test_loader_rejects_a_second_or_late_meta_line():
             loads_instance(text)
 
 
+def test_loader_rejects_a_meta_line_with_another_key():
+    packet = '{"id": 0, "release": 1, "deadline": 3, "value": 1.0}\n'
+    with pytest.raises(ValueError, match="line 1: unknown field 'color' beside meta"):
+        loads_instance('{"meta": {"seed": 1}, "color": "red"}\n' + packet)
+
+
 def test_loader_keeps_an_integer_value_only_if_a_float_holds_it():
     line = '{"id": 0, "release": 1, "deadline": 3, "value": %d}\n'
     for value in (2**53, 2**53 + 2, 2**60, 3):
