@@ -20,7 +20,7 @@ from .analysis import (
     sweep,
     table1_cells,
 )
-from .generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound, lb_ratio_formula
+from .generators import GenSpec, LowerBoundSpec, _draws, generate, generate_lower_bound, lb_ratio_formula
 from .model import (
     ALL_VARIANTS,
     PHI,
@@ -235,7 +235,7 @@ def _cmd_chaincheck(args) -> int:
     violations = 0
     for trial in range(args.trials):
         rng = Random(derive_seed(args.seed, "chain", trial))
-        k = rng.randint(1, args.k_max)
+        k = 1 + _draws(rng.getrandbits, args.k_max, 1)[0]  # generators' draw rule
         if not check_chain(random_chain(rng, alpha, k)):
             violations += 1
     print(f"{violations} violations in {args.trials} chains (alpha={alpha!r}, k <= {args.k_max})")

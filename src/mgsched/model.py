@@ -55,7 +55,9 @@ class Frozen:
     arguments, if it has rules, then sets the fields once through _init.
     Equality, hashing and repr go by the fields in that order, and assigning
     to a field raises AttributeError.  Pickling and copying call the
-    constructor again, so they refuse what it refuses.
+    constructor again, so they refuse what it refuses.  A subclass that
+    builds a field on its first read names its public fields, in the
+    constructor's order, in _fields, and makes its results with _raw.
     """
 
     __slots__ = ()
@@ -63,13 +65,22 @@ class Frozen:
     def __init_subclass__(cls):
         # The slots' own setters, which are faster than object.__setattr__.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
 
     def _init(self, *values) -> None:
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
+    @classmethod
+    def _raw(cls, *values):
+        """An object whose slots are set in order, past __init__."""
+        obj = cls.__new__(cls)
+        obj._init(*values)
+        return obj
+
     def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
@@ -83,7 +94,7 @@ class Frozen:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -345,8 +356,22 @@ def _loads(line: str):
     return json.loads(line)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# json.loads keeps the last of two equal keys; this decoder refuses them.
+_check_unique_keys = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def load_instance(fp: IO[str]) -> Instance:
-    """Read a JSON-lines instance; a bad line raises ValueError naming its number."""
+    """Read a JSON-lines instance; a bad line raises ValueError naming its number.
+    No object may repeat a key."""
     meta: dict | None = None
     packets: list[Packet] = []
     for lineno, line in enumerate(fp, 1):
@@ -356,6 +381,7 @@ def load_instance(fp: IO[str]) -> Instance:
         try:
             obj = _loads(line)
             if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
+                _check_unique_keys(line)
                 if not isinstance(obj["meta"], dict):
                     raise ValueError(f"meta must be a JSON object, got {obj['meta']!r}")
                 if len(obj) != 1:
@@ -365,6 +391,10 @@ def load_instance(fp: IO[str]) -> Instance:
                 meta = obj["meta"]
             else:
                 packets.append(packet_from_obj(obj))
+                # Its four keys are the field names and its values numbers or
+                # null, so each ':' ends a key: more than four means a repeat.
+                if line.count(":") > 4:
+                    _check_unique_keys(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return Instance(tuple(packets), meta)

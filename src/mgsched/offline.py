@@ -49,15 +49,32 @@ from .provisional import _priority
 
 
 class OffSchedule(Frozen):
-    """Slot assignment achieving the offline maximum total value."""
+    """Slot assignment achieving the offline maximum total value:
+    `assignments`, the (packet id, slot) pairs by id, and `total_value`.
 
-    __slots__ = ("assignments", "total_value")
+    The solvers keep their slot -> packet map, and `assignments` is sorted
+    from it on its first read, so a caller that reads only the value or the
+    length (as a ratio sweep does) sorts nothing.  Equality, hashing,
+    pickling and copying go by the two fields, as for the other value types.
+    """
+
+    __slots__ = ("_by_slot", "_assignments", "total_value")
+    _fields = ("assignments", "total_value")
 
     def __init__(self, assignments: tuple[tuple[int, int], ...], total_value: float):
-        self._init(assignments, total_value)  # assignments: (packet id, slot), by id
+        self._init(None, assignments, total_value)
+
+    @property
+    def assignments(self) -> tuple[tuple[int, int], ...]:
+        if self._assignments is None:
+            _set_assignments(self, tuple(sorted((p.id, s) for s, p in self._by_slot.items())))
+        return self._assignments
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        return len(self._assignments if self._by_slot is None else self._by_slot)
+
+
+_set_assignments = OffSchedule._setters[1]
 
 
 class SizeLimitError(ValueError):
@@ -180,12 +197,12 @@ def _jump_walk(order: Sequence[Packet], start: int, slots: dict[int, Packet]) ->
     return {timeline[j]: q for j, q in enumerate(held) if q is not None}
 
 
-def _edf_slots(packets: Sequence[Packet], cap: int) -> list[tuple[int, int]] | None:
-    """Earliest deadline first over the release timeline: (packet id, slot)
-    for every packet, or None when one would miss its deadline or the cap."""
+def _edf_slots(packets: Sequence[Packet], cap: int) -> dict[int, Packet] | None:
+    """Earliest deadline first over the release timeline: slot -> packet for
+    every packet, or None when one would miss its deadline or the cap."""
     by_release = sorted(packets, key=lambda p: p.release)
     heap: list[tuple[float, int]] = []
-    slots: list[tuple[int, int]] = []
+    slots: dict[int, Packet] = {}
     i = 0
     t = 1
     n = len(by_release)
@@ -198,7 +215,7 @@ def _edf_slots(packets: Sequence[Packet], cap: int) -> list[tuple[int, int]] | N
         d, j = heapq.heappop(heap)
         if d < t or t > cap:
             return None
-        slots.append((by_release[j].id, t))
+        slots[t] = by_release[j]
         t += 1
     return slots
 
@@ -208,8 +225,7 @@ def offline_optimal(inst: Instance) -> OffSchedule:
     cap = inst.slot_cap()
     order = sorted(inst.packets, key=_priority)
     slots = _chain_shift(order, cap, _walk_budget(len(order)))
-    assignments = tuple(sorted((p.id, s) for s, p in slots.items()))
-    return OffSchedule(assignments, math.fsum(p.value for p in slots.values()))
+    return OffSchedule._raw(slots, None, math.fsum(p.value for p in slots.values()))
 
 
 def brute_force_optimal(inst: Instance) -> OffSchedule:
@@ -220,7 +236,7 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
     cap = inst.slot_cap()
     packets = inst.packets
     best_value = 0.0
-    best: list[tuple[int, int]] = []
+    best: dict[int, Packet] = {}
     for r in range(len(packets), 0, -1):
         for subset in combinations(packets, r):
             value = math.fsum(p.value for p in subset)
@@ -228,7 +244,7 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
                 slots = _edf_slots(subset, cap)
                 if slots is not None:
                     best_value, best = value, slots
-    return OffSchedule(tuple(sorted(best)), best_value)
+    return OffSchedule._raw(best, None, best_value)
 
 
 class RatioReport(NamedTuple):

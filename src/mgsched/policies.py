@@ -14,7 +14,9 @@ The simulator is event-driven: it keeps one IncrementalSchedule up to date
 through two events, insert for each arrival and send for the packet sent at
 each step (which also moves the clock and expires what is due), and jumps
 over idle gaps by moving the empty schedule's time.  The trace stores only
-the steps that send; the idle rows are synthesized.
+the steps that send, each as a plain row with its place in the schedule's
+value log; their StepRecords are built on the first read, and the idle rows
+are synthesized.  A sweep reads only a run's total value, so it builds none.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
+from itertools import starmap
+from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
 from .model import UNBOUNDED, Frozen, Instance, Packet, json_number
-from .provisional import IncrementalSchedule
+from .provisional import IncrementalSchedule, values_at
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
 # tests/test_bench_hooks.py guards.  It goes with ROADMAP item 1.
@@ -85,10 +89,39 @@ class StepRecord(NamedTuple):
     schedule_value: float
 
 
-class SimulationTrace(NamedTuple):
-    sends: tuple[StepRecord, ...]  # the steps that sent a packet, in time order
-    total_value: float
-    dropped_expired: tuple[int, ...]
+class SimulationTrace(Frozen):
+    """A run's record: `sends`, the steps that sent a packet in time order;
+    `total_value`; and `dropped_expired`, the ids of the packets that expired.
+
+    simulate keeps each send as a row (t, packet, buffer size, place in the
+    schedule's value log), and `sends` is built from the rows on its first
+    read, replaying the log once through provisional.values_at.  The total,
+    the counts and dump_trace need no build.  Equality, hashing, pickling
+    and copying go by the three fields, as for the other value types.
+    """
+
+    __slots__ = ("_log", "_sends", "total_value", "dropped_expired")
+    _fields = ("sends", "total_value", "dropped_expired")
+
+    def __init__(self, sends: tuple[StepRecord, ...], total_value: float, dropped_expired: tuple[int, ...]):
+        self._init(None, sends, total_value, dropped_expired)
+
+    def _replay(self) -> Iterator[tuple]:
+        """The fields of each send record, made one by one from the rows
+        until `sends` is built."""
+        if self._log is None:
+            yield from self._sends
+            return
+        rows, changes = self._log
+        for (t, p, size, _), value in zip(rows, values_at(changes, map(itemgetter(3), rows))):
+            yield t, p.id, p.value, size, value
+
+    @property
+    def sends(self) -> tuple[StepRecord, ...]:
+        if self._log is not None:
+            _set_sends(self, tuple(starmap(StepRecord, self._replay())))
+            _set_log(self, None)
+        return self._sends
 
     def iter_steps(self) -> Iterator[StepRecord]:
         """Every step from t = 1 to the last send; a step between sends is idle."""
@@ -110,7 +143,10 @@ class SimulationTrace(NamedTuple):
 
     @property
     def sent_count(self) -> int:
-        return len(self.sends)
+        return len(self._sends if self._log is None else self._log[0])
+
+
+_set_log, _set_sends = SimulationTrace._setters[:2]
 
 
 def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
@@ -156,7 +192,8 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     releases = sorted(arrivals, reverse=True)  # the next release is last
 
     schedule = IncrementalSchedule(1)
-    sends: list[StepRecord] = []
+    changes = schedule.changes
+    rows: list[tuple[int, Packet, int, int]] = []
     dropped: list[int] = []
     total = 0.0
 
@@ -172,12 +209,12 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
             continue
 
         chosen = mg_select(heads(), params)
-        sends.append(StepRecord(t, chosen.id, chosen.value, schedule.pending_count, schedule.total_value))
+        rows.append((t, chosen, schedule.pending_count, len(changes)))
         total += chosen.value
         dropped.extend(schedule.send(chosen))
         t += 1
 
-    return SimulationTrace(tuple(sends), total, tuple(dropped))
+    return SimulationTrace._raw((rows, changes), None, total, tuple(dropped))
 
 
 def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
@@ -185,19 +222,20 @@ def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
 
     Each line is json.dumps(obj, sort_keys=True) of its record, byte for byte;
     the step lines are formatted directly, which is several times faster than
-    the encoder, and streamed, so memory does not grow with the trace.
+    the encoder, and streamed from the trace's rows, so memory does not grow
+    with the trace and its `sends` tuple is not built.
     """
     # An idle row is StepRecord(t, None, 0.0, 0, 0.0): constant but for its t.
     idle = '{"buffer_size": 0, "schedule_value": 0.0, "sent_id": null, "sent_value": 0.0, "t": %d}\n'
     t = 1
-    for s in trace.sends:
-        if s.t > t:
-            fp.writelines(map(idle.__mod__, range(t, s.t)))
+    for at, sent_id, sent_value, buffer_size, schedule_value in trace._replay():
+        if at > t:
+            fp.writelines(map(idle.__mod__, range(t, at)))
         fp.write(
-            f'{{"buffer_size": {s.buffer_size}, "schedule_value": {json_number(s.schedule_value)}, '
-            f'"sent_id": {s.sent_id}, "sent_value": {json_number(s.sent_value)}, "t": {s.t}}}\n'
+            f'{{"buffer_size": {buffer_size}, "schedule_value": {json_number(schedule_value)}, '
+            f'"sent_id": {sent_id}, "sent_value": {json_number(sent_value)}, "t": {at}}}\n'
         )
-        t = s.t + 1
+        t = at + 1
     summary = {
         "totalValue": trace.total_value,
         "sentCount": trace.sent_count,

@@ -14,19 +14,26 @@ through two events, a packet's arrival (insert) and the send that ends a step
 Packets with the same deadline lie in the same feasibility constraints, so the
 schedule keeps a prefix of each deadline's pending packets taken in (-value,
 id) order.  IncrementalSchedule therefore stores, per distinct pending
-deadline, one list of entries (-units, id, packet) in that order and the
+deadline, one list of entries (-value, id, packet) in that order and the
 length of its scheduled prefix, plus a running count of scheduled packets; an
 event costs at most O(G) for G distinct pending deadlines, and a send of a
 scheduled packet of the first pending deadline costs O(1) besides the list
-edits.  A packet's value in units (whole multiples of 2**-1074) lives only in
-its entry, so insert and send bisect the entries in C, with no key function.
+edits.  Insert and send bisect the entries in C, with no key function.
+
+The schedule's value is a log: each change to the scheduled set appends the
+value it adds (a packet's value) or removes (its entry's -value).  Reading
+the value folds the log into one exact integer, in units (whole multiples of
+2**-1074), and rounds once, so it equals math.fsum of the scheduled values;
+values_at replays the same fold at earlier positions of the log, which is
+how the simulator's trace reads the value at each send without paying for
+it while the run goes on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import UNBOUNDED, Packet
 
@@ -48,6 +55,35 @@ def _units(value: float) -> int:
 
 
 _UNIT_SCALE = 1 << 1074  # units per 1.0
+
+
+def _fold(units: int, changes: list[float], start: int, stop: int, to_units: Callable[[float], int]) -> int:
+    """`units` plus the changes[start:stop] of a value log, each made exact."""
+    return units + sum(map(to_units, changes[start:stop]))
+
+
+class _UnitsMemo(dict):
+    """value -> _units(value), filled on first sight and cleared past 1024
+    entries.  A log repeats its values: the MG(phi, phi) lower-bound run at
+    k = 10 logs 12 066 changes of 29 distinct values."""
+
+    def __missing__(self, value: float) -> int:
+        if len(self) >= 1024:
+            self.clear()
+        units = self[value] = _units(value)
+        return units
+
+
+def values_at(changes: list[float], positions: Iterable[int]) -> Iterator[float]:
+    """The scheduled value after changes[:pos] of an IncrementalSchedule's
+    log, for each of the non-decreasing `positions`, as total_value would
+    have read it then."""
+    to_units = _UnitsMemo().__getitem__
+    units = start = 0
+    for stop in positions:
+        units = _fold(units, changes, start, stop, to_units)
+        start = stop
+        yield units / _UNIT_SCALE
 
 
 def _latest_free(parent: list[int], s: int) -> int:
@@ -98,15 +134,13 @@ class IncrementalSchedule:
     the greedy schedules a prefix of each deadline's pending packets taken in
     (-value, id) order: once it rejects one, it rejects every later one.  The
     store is therefore one list per distinct pending deadline, of entries
-    (-units, id, packet) in that order, with a count of its scheduled prefix.
-    Units are the value as an exact whole number of 2**-1074: they rise
-    strictly with value, so the entry order is the (-value, id) order, and a
-    packet's units are read from its entry, never stored elsewhere.  Ids are
-    unique, so bisecting a list with the probe (-units, id) never compares
-    two packets.  A running count of scheduled packets tells whether any
-    pending packet is rejected, and skips the scan for a tight deadline when
-    fewer packets are scheduled than there are slots up to the first
-    deadline it would look at.
+    (-value, id, packet) in that order, with a count of its scheduled prefix.
+    Values are finite floats, which compare exactly, so the keys order the
+    packets as their exact values do.  Ids are unique, so bisecting a list
+    with the probe (-value, id) never compares two packets.  A running count
+    of scheduled packets tells whether any pending packet is rejected, and
+    skips the scan for a tight deadline when fewer packets are scheduled
+    than there are slots up to the first deadline it would look at.
 
     - insert: a packet behind a rejected packet of its own deadline is
       rejected.  Otherwise it closes a circuit iff some deadline D >= its own
@@ -136,31 +170,38 @@ class IncrementalSchedule:
     A deadline's last scheduled packet is its lowest and its first rejected
     packet its best; rejecting one or re-admitting one moves a count by one.
     So an event costs at most O(G) for G distinct pending deadlines, plus a
-    bisection of integer keys and a list shift within the packet's own
-    deadline.  Packets must be alive at `time`.  An empty schedule holds
-    nothing but its time, so the simulator sets `time` to jump an idle gap.
+    bisection and a list shift within the packet's own deadline.  Packets
+    must be alive at `time`.  An empty schedule holds nothing but its time,
+    so the simulator sets `time` to jump an idle gap.
 
-    The schedule's value is kept as one exact integer, in units, that changes
-    whenever a packet joins or leaves the scheduled set; it is rounded once
-    when read, so it equals math.fsum of the scheduled values on every Python
-    version.
+    `changes` logs the scheduled value: a packet that joins the scheduled
+    set appends its value, one that leaves appends its entry's -value.  Only
+    a read of total_value turns the log's unread tail into units, the value
+    as an exact whole number of 2**-1074, and adds it to one exact sum, which
+    it rounds once; so it equals math.fsum of the scheduled values on every
+    Python version, and the events never touch the units.
     """
 
     def __init__(self, time: int):
         self.time = time
         self.pending_count = 0  # pending packets, scheduled or rejected
         # Per distinct pending deadline, ascending (UNBOUNDED last): its
-        # entries (-units, id, packet) in (-value, id) order, and how many of
-        # them, from the front, are scheduled.
+        # entries (-value, id, packet) in that order, and how many of them,
+        # from the front, are scheduled.
         self._deadlines: list[float] = []
-        self._entries: list[list[tuple[int, int, Packet]]] = []
+        self._entries: list[list[tuple[float, int, Packet]]] = []
         self._counts: list[int] = []
         self._scheduled = 0  # sum(self._counts)
-        self._value = 0  # the scheduled packets' values, summed in units
+        self.changes: list[float] = []  # the value log, append-only
+        self._folded = 0  # how many changes _sum holds
+        self._sum = 0  # their sum, in units
 
     @property
     def total_value(self) -> float:
-        return self._value / _UNIT_SCALE
+        stop = len(self.changes)
+        self._sum = _fold(self._sum, self.changes, self._folded, stop, _units)
+        self._folded = stop
+        return self._sum / _UNIT_SCALE
 
     def snapshot(self) -> tuple[Packet, ...]:
         """The schedule as optimal_provisional_schedule would return it."""
@@ -176,26 +217,26 @@ class IncrementalSchedule:
 
     def insert(self, p: Packet) -> None:
         """Add an arriving packet, rejecting the lowest of the circuit it closes."""
-        units = _units(p.value)
+        key = -p.value
         dl, d = self._deadlines, p.deadline
         j = bisect_left(dl, d)
         self.pending_count += 1
         if j < len(dl) and dl[j] == d:
             group = self._entries[j]
-            i = bisect_left(group, (-units, p.id))
-            group.insert(i, (-units, p.id, p))
+            i = bisect_left(group, (key, p.id))
+            group.insert(i, (key, p.id, p))
             if i > self._counts[j]:  # behind a rejected packet of its deadline
                 return
         else:
             dl.insert(j, d)
-            self._entries.insert(j, [(-units, p.id, p)])
+            self._entries.insert(j, [(key, p.id, p)])
             self._counts.insert(j, 0)
         # No deadline from d on is tight while fewer packets are scheduled
         # than there are slots up to d; that holds for UNBOUNDED too.
         tight = None if self._scheduled < d - self.time + 1 else self._tight(j, len(dl))[0]
         self._counts[j] += 1
         self._scheduled += 1
-        self._value += units
+        self.changes.append(p.value)
         if tight is not None:
             self._reject_lowest_through(tight)
 
@@ -206,14 +247,14 @@ class IncrementalSchedule:
         j = bisect_left(dl, p.deadline)
         group = self._entries[j]
         # Both policies send a deadline's first packet: no probe to build.
-        i = 0 if group[0][2] is p else bisect_left(group, (-_units(p.value), p.id))
-        neg_units = group.pop(i)[0]
+        i = 0 if group[0][2] is p else bisect_left(group, (-p.value, p.id))
+        key = group.pop(i)[0]
         self.pending_count -= 1
         scheduled = i < counts[j]
         if scheduled:
             counts[j] -= 1
             self._scheduled -= 1
-            self._value += neg_units
+            self.changes.append(key)
         if not group:
             del dl[j], self._entries[j], counts[j]
         # A rejected p's lost slot `time` acts as a top packet due then, so
@@ -222,7 +263,7 @@ class IncrementalSchedule:
         if scheduled and first is not None and self._scheduled < self.pending_count:
             best = self._best_rejected_after(last)
             if best is not None:
-                self._value -= self._entries[best][counts[best]][0]
+                self.changes.append(self._entries[best][counts[best]][2].value)
                 counts[best] += 1
                 self._scheduled += 1
         if first is not None:
@@ -257,19 +298,19 @@ class IncrementalSchedule:
     def _reject_lowest_through(self, j: int) -> None:
         """Reject the lowest-priority scheduled packet with deadline index up
         to j: the last scheduled packet of some deadline."""
-        # The lowest has the highest -units; on a tie, the later deadline.
+        # The lowest has the highest -value; on a tie, the later deadline.
         lowest, worst = -1, None
         for k, (group, n) in enumerate(zip(self._entries[: j + 1], self._counts)):
             if n and (worst is None or group[n - 1][0] >= worst):
                 lowest, worst = k, group[n - 1][0]
         self._counts[lowest] -= 1
         self._scheduled -= 1
-        self._value += worst
+        self.changes.append(worst)
 
     def _best_rejected_after(self, j: int) -> int | None:
         """Index of the deadline after index j holding the highest-priority
         rejected packet (the first rejected packet of some deadline), if any."""
-        # The best has the lowest -units; on a tie, the earlier deadline.
+        # The best has the lowest -value; on a tie, the earlier deadline.
         best, top = None, None
         for k, (group, n) in enumerate(zip(self._entries[j + 1 :], self._counts[j + 1 :]), j + 1):
             if n < len(group) and (top is None or group[n][0] < top):

@@ -167,14 +167,14 @@ def test_sweep_never_calls_randrange(monkeypatch):
 
 
 def test_sweep_argmax_seed_reproduces_max():
-    from mgsched.generators import GenSpec, generate
+    from mgsched.generators import GenSpec, _draws, generate
     from mgsched.offline import empirical_ratio
 
     cells = [SweepCell("general", PolicyParams.mg(1.5, 1.5), n=15)]
     report = sweep(cells, trials=60, seed=11)
     row = report.rows[0]
-    rng = Random(row.argmax_seed)
-    inst = generate(GenSpec("general", rng.randint(1, 15), max_slack=8, seed=row.argmax_seed))
+    n = 1 + _draws(Random(row.argmax_seed).getrandbits, 15, 1)[0]  # the sweep's size draw
+    inst = generate(GenSpec("general", n, max_slack=8, seed=row.argmax_seed))
     assert empirical_ratio(inst, PolicyParams.mg(1.5, 1.5)).ratio == row.max_ratio
 
 

@@ -190,6 +190,19 @@ def test_chaincheck_reports_zero_violations(capsys):
     assert "0 violations in 50 chains" in capsys.readouterr().out
 
 
+def test_chaincheck_draws_chain_lengths_without_randrange(monkeypatch, capsys):
+    # randrange's algorithm is private to the random module; the chain length
+    # is drawn by the generators' rule from getrandbits, as the sweep's sizes are.
+    import random
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("Random.randrange called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    assert main(["chaincheck", "--trials", "50"]) == EXIT_OK
+    assert "0 violations in 50 chains" in capsys.readouterr().out
+
+
 def test_lb_epsilon_too_small_for_floats_is_a_validation_error(tmp_path, capsys):
     # inside LowerBoundSpec's range, but MG's comparisons no longer clear the margin
     out = tmp_path / "lb.jsonl"
@@ -264,6 +277,11 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
         ('{"meta": {"seed": 1}}', "a meta line may come only once, before every packet"),
         ('{"id": 1, "release": 1, "deadline": 3, "value": 1' + "0" * 400 + "}", "within the float range"),
         ('{"id": 1, "release": 1, "deadline": 3, "value": 9007199254740993}', "value must be a float exactly"),
+        # json.loads would keep the last of two equal keys: packet 5, meta {"b": 2}
+        ('{"id": 0, "id": 5, "release": 1, "deadline": 3, "value": 1.0}', "duplicate key 'id'"),
+        ('{"id": 1, "release": 1, "deadline": 3, "value": "a:b", "value": 1.0}', "duplicate key 'value'"),
+        ('{"meta": {"a": 1}, "meta": {"b": 2}}', "duplicate key 'meta'"),
+        ('{"meta": {"a": 1, "a": 2}}', "duplicate key 'a'"),
     ):
         bad.write_text(good + line + "\n")
         capsys.readouterr()

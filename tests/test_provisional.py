@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import assignment_opt, brute_best_pending_value, heads_of, mk
 from mgsched.model import UNBOUNDED, Instance, Packet
 from mgsched.policies import EmptyBufferError, PolicyParams, mg_select
-from mgsched.provisional import IncrementalSchedule, canonical_key, optimal_provisional_schedule
+from mgsched import provisional
+from mgsched.provisional import IncrementalSchedule, canonical_key, optimal_provisional_schedule, values_at
 
 GREEDY = PolicyParams.mg(1.0, 1.0)  # sends h: the first head of the top value
 HEAD_FIRST = PolicyParams.mg(UNBOUNDED, 1.0)  # sends e: the first scheduled packet
@@ -268,3 +270,60 @@ def test_incremental_value_equals_assignment_oracle_at_hundreds_pending(target):
         assert schedule.pending_count == len(pending)
         now = Instance(tuple(Packet(p.id, t, p.deadline, p.value) for p in pending))
         assert schedule.total_value == assignment_opt(now)
+
+
+# (kind, deadline offset, value, pick, reads of total_value after the event).
+# Four deadlines crowd the slots, so arrivals are often rejected and sends
+# past a tight deadline re-admit them.
+_read_event = st.tuples(
+    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any"]),
+    st.integers(0, 3),
+    st.sampled_from([1.0, 3.0, 0.1, 5e-324, 1.0 + 2**-52, 1e300]),
+    st.integers(0, 10**6),
+    st.sampled_from([0, 0, 1, 2]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_read_event, max_size=60))
+def test_total_value_read_anywhere_is_the_fsum_of_the_schedule(events):
+    # Reads come after some events, twice in a row after others, and the
+    # events convert no value to units: only a read folds the log.
+    converted = []
+    to_units = provisional._units
+    with mock.patch.object(provisional, "_units", lambda v: converted.append(v) or to_units(v)):
+        t = 1
+        schedule = IncrementalSchedule(t)
+        pending: list[Packet] = []
+        for pid, (kind, offset, value, pick, reads) in enumerate(events):
+            if kind == "arrive":
+                p = Packet(pid, t, t + offset, value)
+                schedule.insert(p)
+                pending.append(p)
+            elif pending:
+                scheduled = schedule.snapshot()
+                pool = scheduled if kind == "send" and scheduled else pending
+                pending = _send(schedule, pending, pool[pick % len(pool)], t)
+                t += 1
+            assert converted == []
+            for _ in range(reads):
+                assert schedule.total_value == value_of(schedule.snapshot())
+                converted.clear()
+        assert schedule.total_value == value_of(optimal_provisional_schedule(pending, t))
+
+
+def test_values_at_is_the_fsum_of_each_prefix_of_the_log():
+    # More distinct values than the replay's memo keeps, each logged in and
+    # out, with tiny and huge ones that a float running sum would lose.
+    rng = Random(20)
+    pool = [rng.uniform(0.1, 100.0) for _ in range(3000)] + [5e-324, 1e300, 1.0 + 2**-52]
+    changes: list[float] = []
+    live: list[float] = []
+    for _ in range(8000):
+        if live and rng.random() < 0.45:
+            changes.append(-live.pop(rng.randrange(len(live))))
+        else:
+            live.append(rng.choice(pool))
+            changes.append(live[-1])
+    positions = sorted(rng.sample(range(len(changes) + 1), 400)) + [len(changes)] * 2
+    assert list(values_at(changes, positions)) == [math.fsum(changes[:pos]) for pos in positions]

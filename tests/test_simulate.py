@@ -189,6 +189,40 @@ def test_empirical_ratio_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_ratio_builds_no_step_record_and_sorts_no_witness(monkeypatch):
+    # A sweep trial reads two totals; the trace's records and OPT's sorted
+    # (id, slot) witness are built only for a caller that reads them.
+    import builtins
+
+    import mgsched.offline
+    import mgsched.policies
+    from mgsched.analysis import sweep, table1_cells
+
+    records, witnesses = [], []
+
+    def counting_record(*fields):
+        records.append(fields)
+        return StepRecord(*fields)
+
+    def counting_sorted(iterable, **kwargs):
+        items = list(iterable)
+        if any(type(x) is tuple for x in items):  # (packet id, slot) pairs
+            witnesses.append(items)
+        return builtins.sorted(items, **kwargs)
+
+    monkeypatch.setattr(mgsched.policies, "StepRecord", counting_record)
+    monkeypatch.setattr(mgsched.offline, "sorted", counting_sorted, raising=False)
+    inst = generate(GenSpec("general", 30, seed=4))
+    for params in POLICIES:
+        empirical_ratio(inst, params)
+    sweep(table1_cells(n=12), trials=4, seed=5, jobs=1)
+    assert (records, witnesses) == ([], [])
+    # the counters see the builds once the fields are read
+    trace, opt = simulate(inst, POLICIES[0]), offline_optimal(inst)
+    assert len(records) == 0 < trace.sent_count
+    assert len(trace.sends) == len(records) and len(opt.assignments) == len(witnesses[0])
+
+
 def test_direct_calls_still_validate():
     # an invalid instance cannot be made, so no solver or policy ever sees one
     with pytest.raises(InvalidInstanceError) as info:

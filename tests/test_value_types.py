@@ -16,7 +16,8 @@ import pytest
 from mgsched.analysis import ChainInstance, SweepCell, SweepReport, SweepRow
 from mgsched.generators import GenSpec, LowerBoundSpec, generate
 from mgsched.model import PHI, Instance, Packet, dumps_instance, loads_instance
-from mgsched.policies import PolicyKind, PolicyParams
+from mgsched.offline import OffSchedule, offline_optimal
+from mgsched.policies import PolicyKind, PolicyParams, SimulationTrace, simulate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -140,6 +141,59 @@ def test_unpickling_checks_the_fields_again(cls):
             object.__setattr__(forged, name, value)
         with pytest.raises(ValueError):
             pickle.loads(pickle.dumps(forged))
+
+
+# The results that build a field on its first read: type -> (its fields, a
+# maker of a fresh, unread one).
+LAZY = {
+    SimulationTrace: (
+        ("sends", "total_value", "dropped_expired"),
+        lambda: simulate(generate(GenSpec("general", 30, max_slack=3, seed=7)), PARAMS),
+    ),
+    OffSchedule: (("assignments", "total_value"), lambda: offline_optimal(generate(GenSpec("general", 30, seed=7)))),
+}
+
+
+@pytest.mark.parametrize("cls", list(LAZY), ids=lambda c: c.__name__)
+def test_lazy_results_are_equal_before_and_after_the_first_read(cls):
+    fields, make = LAZY[cls]
+    read, unread = make(), make()
+    values = [getattr(read, name) for name in fields]
+    assert len(values[0]) > 0
+    made = cls(*values)  # the same fields through the public constructor
+    assert unread == read == made and hash(unread) == hash(read) == hash(made)
+    assert [getattr(unread, name) for name in fields] == values
+    assert repr(unread) == repr(made)
+    # the counts need no build, and agree with the built fields
+    if cls is OffSchedule:
+        assert len(make()) == len(made) == len(values[0])
+    else:
+        assert make().sent_count == made.sent_count == len(values[0])
+        assert make().sent_ids == made.sent_ids and make().steps == made.steps
+
+
+@pytest.mark.parametrize("cls", list(LAZY), ids=lambda c: c.__name__)
+def test_lazy_results_pickle_and_copy_before_the_first_read(cls):
+    fields, make = LAZY[cls]
+    want = make()
+    for copier in (lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy):
+        again = copier(make())
+        assert type(again) is cls and again == want
+        assert [getattr(again, name) for name in fields] == [getattr(want, name) for name in fields]
+
+
+@pytest.mark.parametrize("cls", list(LAZY), ids=lambda c: c.__name__)
+def test_lazy_result_fields_cannot_be_assigned_before_or_after_the_first_read(cls):
+    fields, make = LAZY[cls]
+    read = make()
+    want = [getattr(read, name) for name in fields]
+    for obj in (make(), read):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert [getattr(obj, name) for name in fields] == want
 
 
 def test_import_mgsched_leaves_dataclasses_out():
