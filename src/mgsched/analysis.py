@@ -70,8 +70,8 @@ def chain_bound(alpha: float, k: int) -> float:
     """((2 - 1/alpha) * alpha^k - alpha) / (alpha^k - 1); increasing in k,
     bounded above by 2 - 1/alpha.  Evaluated through x = alpha^-k, which
     underflows to 0 (the limit) where alpha^k would overflow."""
-    if not alpha > 1:  # NaN fails too
-        raise ValueError("chain_bound requires alpha > 1")
+    if not 1 < alpha < UNBOUNDED:  # NaN fails too; inf would give inf * 0
+        raise ValueError(f"chain_bound requires a finite alpha > 1, got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")
     x = alpha**-k
@@ -151,13 +151,12 @@ class SweepReport(NamedTuple):
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
-            alpha = "inf" if r.alpha == UNBOUNDED else repr(r.alpha)
             lines.append(
                 ",".join(
                     [
                         r.variant,
                         r.kind,
-                        alpha,
+                        repr(r.alpha),
                         repr(r.beta),
                         str(r.trials),
                         repr(r.max_ratio),
@@ -173,8 +172,7 @@ class SweepReport(NamedTuple):
         header = f"{'variant':<{widths[0]}}{'policy':<{widths[1]}}{'max ratio':>{widths[2]}}{'mean ratio':>{widths[3]}}"
         lines = [header, "-" * len(header)]
         for r in self.rows:
-            alpha = "inf" if r.alpha == UNBOUNDED else f"{r.alpha:.6g}"
-            policy = f"{r.kind}(a={alpha}, b={r.beta:.6g})"
+            policy = f"{r.kind}(a={r.alpha:.6g}, b={r.beta:.6g})"
             lines.append(
                 f"{r.variant:<{widths[0]}}{policy:<{widths[1]}}{r.max_ratio:>{widths[2]}.6f}{r.mean_ratio:>{widths[3]}.6f}"
             )

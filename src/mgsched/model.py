@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import IO, Iterable, Iterator, NamedTuple
 
 #: Deadline sentinel.  Compares strictly greater than every bounded deadline,
@@ -133,6 +134,8 @@ class Instance(Frozen):
     __slots__ = ("packets", "meta")
 
     def __init__(self, packets: tuple[Packet, ...], meta: dict | None = None):
+        if meta is not None and not isinstance(meta, dict):  # the writer would print it, the loader refuse it
+            raise ValueError(f"meta must be a dict or None, got {meta!r}")
         violations = validate_instance(packets)
         if violations:
             raise InvalidInstanceError(violations)
@@ -264,7 +267,8 @@ def classify_variants(inst: Instance) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # JSON-lines serialization: one packet per line, optional leading meta line.
 # {"meta": {...}}
-# {"id": 0, "release": 1, "deadline": 3, "value": 2.5}   (null deadline = UNBOUNDED)
+# {"deadline": 3, "id": 0, "release": 1, "value": 2.5}   (null deadline = UNBOUNDED)
+# The loader reads a line in this written form by its pattern, any other by json.
 # ---------------------------------------------------------------------------
 
 def packet_to_obj(p: Packet) -> dict:
@@ -340,22 +344,7 @@ def dumps_instance(inst: Instance) -> str:
     return buf.getvalue()
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _loads(line: str):
-    """json.loads of a stripped line, without its per-call wrapper and
-    whitespace scans.  A line that is not one whole JSON value gets the error
-    json.loads raises, trailing data ("Extra data") included."""
-    try:
-        obj, end = _raw_decode(line)
-        if end == len(line):
-            return obj
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)
-
-
+# json.loads keeps the last of two equal keys; this object_pairs_hook refuses them.
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
@@ -365,13 +354,23 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# json.loads keeps the last of two equal keys; this decoder refuses them.
-_check_unique_keys = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+# dump_instance's packet line: the keys in written order, JSON integers (no
+# leading zero, ASCII digits only), a null or integer deadline, and a value
+# with a fraction or an exponent, as float.__repr__ writes it.  json would read
+# those integers with int() and that value with float(), as load_instance does.
+_INT = "-?(?:0|[1-9][0-9]*)"
+_WRITTEN_PACKET = (
+    rf'\{{"deadline": (null|{_INT}), "id": ({_INT}), "release": ({_INT}), '
+    rf'"value": ({_INT}(?:\.[0-9]+(?:e[-+]?[0-9]+)?|e[-+]?[0-9]+))\}}'
+)
 
 
 def load_instance(fp: IO[str]) -> Instance:
     """Read a JSON-lines instance; a bad line raises ValueError naming its number.
-    No object may repeat a key."""
+    No object may repeat a key.  A line in dump_instance's packet form becomes
+    a packet through its pattern; every other line goes through one json.loads,
+    and either way the result is the same."""
+    written = re.compile(_WRITTEN_PACKET).fullmatch  # re caches it; importing compiles nothing
     meta: dict | None = None
     packets: list[Packet] = []
     for lineno, line in enumerate(fp, 1):
@@ -379,9 +378,13 @@ def load_instance(fp: IO[str]) -> Instance:
         if not line:
             continue
         try:
-            obj = _loads(line)
+            if match := written(line):
+                deadline, pid, release, value = match.groups()
+                deadline = UNBOUNDED if deadline == "null" else int(deadline)
+                packets.append(Packet(int(pid), int(release), deadline, float(value)))
+                continue
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
             if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
-                _check_unique_keys(line)
                 if not isinstance(obj["meta"], dict):
                     raise ValueError(f"meta must be a JSON object, got {obj['meta']!r}")
                 if len(obj) != 1:
@@ -391,10 +394,6 @@ def load_instance(fp: IO[str]) -> Instance:
                 meta = obj["meta"]
             else:
                 packets.append(packet_from_obj(obj))
-                # Its four keys are the field names and its values numbers or
-                # null, so each ':' ends a key: more than four means a repeat.
-                if line.count(":") > 4:
-                    _check_unique_keys(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return Instance(tuple(packets), meta)

@@ -277,16 +277,15 @@ def ratio_csv_row(report: RatioReport, inst: Instance, params: PolicyParams) -> 
     meta = inst.meta or {}
     instance_id = meta.get("seed", meta.get("k", ""))
     variant = meta.get("variant", meta.get("family", ""))
-    alpha = "inf" if params.alpha == UNBOUNDED else repr(params.alpha)
     return ",".join(
         [
             str(instance_id),
             str(variant),
             params.kind.value,
-            alpha,
+            repr(params.alpha),
             repr(params.beta),
             repr(report.opt_value),
             repr(report.alg_value),
-            "inf" if report.ratio == math.inf else repr(report.ratio),
+            repr(report.ratio),
         ]
     )

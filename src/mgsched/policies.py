@@ -28,7 +28,7 @@ from itertools import starmap
 from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .model import UNBOUNDED, Frozen, Instance, Packet, json_number
+from .model import Frozen, Instance, Packet, json_number
 from .provisional import IncrementalSchedule, values_at
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
@@ -73,8 +73,7 @@ class PolicyParams(Frozen):
         return cls(PolicyKind.EDF_ALPHA, alpha, 1.0)
 
     def describe(self) -> str:
-        a = "inf" if self.alpha == UNBOUNDED else repr(self.alpha)
-        return f"{self.kind.value}(alpha={a}, beta={self.beta!r})"
+        return f"{self.kind.value}(alpha={self.alpha!r}, beta={self.beta!r})"
 
 
 class EmptyBufferError(ValueError):
@@ -159,7 +158,7 @@ def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
         raise EmptyBufferError("no heads: the buffer is empty")
     e = heads[0]
     top = max([p.value for p in heads])
-    h_over_alpha = 0.0 if params.alpha == UNBOUNDED else top / params.alpha
+    h_over_alpha = top / params.alpha  # 0.0 for alpha UNBOUNDED
     if e.value >= h_over_alpha:
         return e
     threshold = max(h_over_alpha, params.beta * e.value)
@@ -195,7 +194,6 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     changes = schedule.changes
     rows: list[tuple[int, Packet, int, int]] = []
     dropped: list[int] = []
-    total = 0.0
 
     heads = schedule.group_heads if params.kind is PolicyKind.MG else schedule.heads
     t = 1
@@ -210,10 +208,10 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
 
         chosen = mg_select(heads(), params)
         rows.append((t, chosen, schedule.pending_count, len(changes)))
-        total += chosen.value
         dropped.extend(schedule.send(chosen))
         t += 1
 
+    total = math.fsum([row[1].value for row in rows])  # exactly rounded, as OPT's value is
     return SimulationTrace._raw((rows, changes), None, total, tuple(dropped))
 
 

@@ -33,6 +33,8 @@ def test_chain_bound_domain():
         chain_bound(1.0, 3)
     with pytest.raises(ValueError):
         chain_bound(math.nan, 3)
+    with pytest.raises(ValueError):  # inf * inf**-3 would be NaN
+        chain_bound(math.inf, 3)
     with pytest.raises(ValueError):
         chain_bound(2.0, 0)
 

@@ -145,6 +145,19 @@ def test_ratio_unbounded_alpha_on_anti_agreeable_value(tmp_path, capsys):
     assert ",inf," in row
 
 
+def test_ratio_is_one_when_alg_sends_opts_set(tmp_path, capsys):
+    # Both policies send all three packets, as OPT does.  Summed as a running
+    # float in send order, ALG would read 0.6000000000000001 and the ratio
+    # 0.9999999999999998; both sums are exactly rounded.
+    inst = tmp_path / "three.jsonl"
+    inst.write_text("".join(
+        f'{{"id": {i}, "release": 1, "deadline": {i + 1}, "value": {value}}}\n' for i, value in enumerate((0.1, 0.2, 0.3))
+    ))
+    for policy in (["--policy", "edf", "--alpha", "inf"], ["--policy", "mg", "--alpha", "inf", "--beta", "1"]):
+        assert main(["ratio", "--in", str(inst), *policy]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["optValue 0.6", "algValue 0.6", "ratio 1.0"], policy
+
+
 def test_sweep_all_produces_nine_rows(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     rc = main(["sweep", "--variants", "all", "--trials", "30", "--seed", "1", "--n", "10", "--csv-out", str(csv)])

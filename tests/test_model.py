@@ -3,6 +3,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -14,9 +19,11 @@ from mgsched.model import (
     Instance,
     InvalidInstanceError,
     Packet,
+    _unique_keys,
     classify_variants,
     dumps_instance,
     loads_instance,
+    packet_from_obj,
     packet_to_obj,
     validate_instance,
 )
@@ -236,6 +243,72 @@ def test_loader_reports_the_error_json_loads_gives():
         with pytest.raises(ValueError) as got:
             loads_instance(" " + line + "\n")
         assert str(got.value) == f"line 1: {want.value}"
+
+
+def _json_path(line: str):
+    """What one json.loads of the line makes of it: its packet or its error text."""
+    try:
+        return packet_from_obj(json.loads(line, object_pairs_hook=_unique_keys))
+    except ValueError as exc:
+        return f"line 1: {exc}"
+
+
+def _loaded(line: str, json_calls: int):
+    """The loader's packet or error text for the line, which it must have
+    decoded with json.loads that many times."""
+    with mock.patch("json.loads", wraps=json.loads) as loads:
+        try:
+            got = loads_instance(line + "\n").packets[0]
+        except ValueError as exc:
+            got = str(exc)
+    assert loads.call_count == json_calls, line
+    return got
+
+
+# Packet lines as dump_instance writes them: large and negative ids, UNBOUNDED
+# deadlines, and values at the float range's edges and in every repr form.
+_written_lines = st.builds(
+    lambda pid, release, slack, value: dumps_instance(
+        Instance((Packet(pid, release, UNBOUNDED if slack is None else release + slack, value),))
+    ).strip(),
+    st.integers(-(2**80), 2**80) | st.sampled_from((0, 2**63, 10**40)),
+    st.integers(1, 2**64),
+    st.none() | st.integers(0, 2**64),
+    st.sampled_from((5e-324, 1e-06, 3.0, 1e16, 1.7976931348623157e308)) | st.floats(5e-324, 1.7976931348623157e308),
+)
+
+# Changes that take a written line out of the written form.  json reads the
+# first two and the value 3 as the same packet and refuses the others.
+_NEAR_MISSES = {
+    "an extra space": lambda line: line.replace(", ", ",  ", 1),
+    "another key order": lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+    "a trailing comma": lambda line: line[:-1] + ",}",
+    "a leading zero": lambda line: line.replace('"release": ', '"release": 0'),
+    "the value 3": lambda line: line[: line.index('"value": ')] + '"value": 3}',
+    "the value 2**53 + 1": lambda line: line[: line.index('"value": ')] + '"value": 9007199254740993}',
+}
+
+
+@given(_written_lines)
+def test_a_written_line_is_read_by_its_pattern_as_json_reads_it(line):
+    assert _loaded(line, json_calls=0) == _json_path(line)
+
+
+@given(_written_lines, st.sampled_from(sorted(_NEAR_MISSES)))
+def test_a_near_miss_of_the_written_form_is_read_by_json(line, change):
+    line = _NEAR_MISSES[change](line)
+    assert _loaded(line, json_calls=1) == _json_path(line)
+
+
+def test_importing_mgsched_compiles_no_loader_pattern():
+    code = (
+        "import re; seen = []; compile = re.compile\n"
+        "re.compile = lambda pattern, *args: seen.append(pattern) or compile(pattern, *args)\n"
+        "import mgsched.cli, mgsched.model as model; print(model._WRITTEN_PACKET in seen)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_horizon_and_slot_cap():

@@ -56,7 +56,6 @@ def reference_steps(inst: Instance, params: PolicyParams):
     buffer: list[Packet] = []
     steps: list[StepRecord] = []
     dropped: list[int] = []
-    total = 0.0
     t = 1
     while True:
         buffer += arrivals.get(t, [])
@@ -76,9 +75,8 @@ def reference_steps(inst: Instance, params: PolicyParams):
             chosen = edf_reference(buffer, params.alpha)
         steps.append(StepRecord(t, chosen.id, chosen.value, len(buffer), math.fsum(p.value for p in schedule)))
         buffer.remove(chosen)
-        total += chosen.value
         t += 1
-    return tuple(steps), total, tuple(dropped)
+    return tuple(steps), math.fsum(s.sent_value for s in steps), tuple(dropped)
 
 
 def _assert_matches_reference(inst: Instance, params: PolicyParams) -> None:

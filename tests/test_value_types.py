@@ -31,7 +31,7 @@ VALIDATED = {
     Instance: (
         ("packets", "meta"),
         ((PACKET,), {"seed": 1}),
-        [((Packet(0, 0, 3, 2.5),), None), ((PACKET, PACKET), None), ((Packet(0, 1, 3, -1.0),), None)],
+        [((Packet(0, 0, 3, 2.5),), None), ((PACKET, PACKET), None), ((Packet(0, 1, 3, -1.0),), None), ((PACKET,), 5)],
     ),
     GenSpec: (
         ("variant", "n", "max_slack", "seed"),
