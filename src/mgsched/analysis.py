@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .generators import GenSpec, _draws, generate
 from .model import (
     ALL_VARIANTS,
+    FLOAT_MAX,
     PHI,
     UNBOUNDED,
     VARIANT_AGREEABLE_DEADLINE,
@@ -45,7 +46,7 @@ class ChainInstance(Frozen):
     __slots__ = ("alpha", "q_values", "p_values")
 
     def __init__(self, alpha: float, q_values: tuple[float, ...], p_values: tuple[float, ...]):
-        if not 1 < alpha < UNBOUNDED:  # NaN fails too
+        if not 1 < alpha <= FLOAT_MAX:  # NaN, inf and an int past FLOAT_MAX fail too
             raise PremiseError(f"alpha must be a finite real > 1, got {alpha}")
         if len(q_values) != len(p_values) or not q_values:
             raise PremiseError("q and p must be equal-length, non-empty")
@@ -70,7 +71,7 @@ def chain_bound(alpha: float, k: int) -> float:
     """((2 - 1/alpha) * alpha^k - alpha) / (alpha^k - 1); increasing in k,
     bounded above by 2 - 1/alpha.  Evaluated through x = alpha^-k, which
     underflows to 0 (the limit) where alpha^k would overflow."""
-    if not 1 < alpha < UNBOUNDED:  # NaN fails too; inf would give inf * 0
+    if not 1 < alpha <= FLOAT_MAX:  # NaN fails; inf would give inf * 0; an int past FLOAT_MAX has no float
         raise ValueError(f"chain_bound requires a finite alpha > 1, got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")

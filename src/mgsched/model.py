@@ -11,11 +11,16 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from typing import IO, Iterable, Iterator, NamedTuple
 
 #: Deadline sentinel.  Compares strictly greater than every bounded deadline,
 #: so an UNBOUNDED packet can never expire by accident.
 UNBOUNDED = math.inf
+
+#: The largest finite float.  An int past it has no float, so a parameter
+#: that the code divides or multiplies by must not exceed it.
+FLOAT_MAX = sys.float_info.max
 
 #: Golden ratio, (1 + sqrt(5)) / 2.  Satisfies PHI + 1/PHI**2 == 2.
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -368,9 +373,11 @@ _WRITTEN_PACKET = (
 def load_instance(fp: IO[str]) -> Instance:
     """Read a JSON-lines instance; a bad line raises ValueError naming its number.
     No object may repeat a key.  A line in dump_instance's packet form becomes
-    a packet through its pattern; every other line goes through one json.loads,
-    and either way the result is the same."""
+    a packet through its pattern; every other line goes through one decode of
+    a JSONDecoder made once per load, which reads it and fails on it as
+    json.loads does, and either way the result is the same."""
     written = re.compile(_WRITTEN_PACKET).fullmatch  # re caches it; importing compiles nothing
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     meta: dict | None = None
     packets: list[Packet] = []
     for lineno, line in enumerate(fp, 1):
@@ -383,7 +390,9 @@ def load_instance(fp: IO[str]) -> Instance:
                 deadline = UNBOUNDED if deadline == "null" else int(deadline)
                 packets.append(Packet(int(pid), int(release), deadline, float(value)))
                 continue
-            obj = json.loads(line, object_pairs_hook=_unique_keys)
+            if line.startswith("\ufeff"):  # json.loads refuses a BOM before it decodes
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj = decode(line)
             if isinstance(obj, dict) and "meta" in obj and "id" not in obj:
                 if not isinstance(obj["meta"], dict):
                     raise ValueError(f"meta must be a JSON object, got {obj['meta']!r}")

@@ -1,18 +1,21 @@
 """Online policies (MG, EDF_alpha) and the discrete-time simulator.
 
-Both policies apply one send rule, mg_select, to the first packet of each
-pending deadline (its head), in canonical order.  With e the first head and
-v_h the top head value, it sends e if v_e >= v_h / alpha, else the first head
-f with v_f >= max(v_h / alpha, beta * v_e).  MG reads the optimal provisional
+Both policies apply one send rule to the first packet of each pending
+deadline (its head), in canonical order.  With e the first head and v_h the
+top head value, it sends e if v_e >= v_h / alpha, else the first head f with
+v_f >= max(v_h / alpha, beta * v_e).  MG reads the optimal provisional
 schedule's heads.  EDF_alpha reads the raw buffer's, with beta = 1, so it
 sends the earliest-deadline packet worth at least v_h / alpha, ties by higher
 value, then id.
 Greedy (send a highest-value pending packet) is MG(1, 1), so it has no
 rule of its own: `mgsched --policy greedy` is an alias of that setting.
+mg_select states the rule over a list of heads and is its reference; the
+simulator applies it through IncrementalSchedule.step, which reads the heads
+in the schedule's own per-deadline lists and picks what mg_select would.
 
 The simulator is event-driven: it keeps one IncrementalSchedule up to date
-through two events, insert for each arrival and send for the packet sent at
-each step (which also moves the clock and expires what is due), and jumps
+through two events, insert for each arrival and step, which picks and sends
+one packet (and also moves the clock and expires what is due), and jumps
 over idle gaps by moving the empty schedule's time.  The trace stores only
 the steps that send, each as a plain row with its place in the schedule's
 value log; their StepRecords are built on the first read, and the idle rows
@@ -28,7 +31,7 @@ from itertools import starmap
 from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .model import Frozen, Instance, Packet, json_number
+from .model import FLOAT_MAX, Frozen, Instance, Packet, json_number
 from .provisional import IncrementalSchedule, values_at
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
@@ -54,9 +57,11 @@ class PolicyParams(Frozen):
         for name, value in (("alpha", alpha), ("beta", beta)):
             if type(value) is bool or not isinstance(value, (int, float)):  # a bool would print as True
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            if type(value) is not float and value > FLOAT_MAX:  # an int no float holds
+                raise ValueError(f"{name} must be UNBOUNDED or at most {FLOAT_MAX!r}, got {value}")
         if not alpha >= 1:  # NaN fails too
             raise ValueError(f"alpha must be >= 1, got {alpha}")
-        if beta < 1 or not math.isfinite(beta):
+        if not 1 <= beta <= FLOAT_MAX:  # NaN and inf fail too
             raise ValueError(f"beta must be a finite real >= 1, got {beta}")
         if kind is PolicyKind.MG and beta > alpha:
             raise ValueError(f"MG requires beta <= alpha, got beta={beta} > alpha={alpha}")
@@ -153,6 +158,9 @@ def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
     order: the provisional schedule's for MG, the raw buffer's for EDF_alpha.
     A deadline's first packet has its highest value, so e, the top value v_h
     and the first packet past the threshold are all heads.
+
+    This is the rule's reference.  simulate does not call it: it applies the
+    same rule in IncrementalSchedule.step, which the tests hold to it.
     """
     if not heads:
         raise EmptyBufferError("no heads: the buffer is empty")
@@ -173,11 +181,11 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     """Run one policy over an instance and record the steps that send.
 
     Each step t: admit arrivals with release == t, then (buffer permitting)
-    send the packet mg_select picks, then let unsendable packets expire.  The
-    optimal provisional schedule is one IncrementalSchedule, updated by
-    insert and send, never rebuilt; while the buffer is empty the run jumps
-    to the next release, so the cost follows the packet count, not the
-    release span.
+    send the packet mg_select would pick, then let unsendable packets expire.
+    The optimal provisional schedule is one IncrementalSchedule, updated by
+    insert and by one step call per send, never rebuilt; while the buffer is
+    empty the run jumps to the next release, so the cost follows the packet
+    count, not the release span.
     Work-conserving and fully deterministic.
 
     The run ends when the buffer is empty and nothing is left to release, so
@@ -195,7 +203,8 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     rows: list[tuple[int, Packet, int, int]] = []
     dropped: list[int] = []
 
-    heads = schedule.group_heads if params.kind is PolicyKind.MG else schedule.heads
+    step, alpha, beta = schedule.step, params.alpha, params.beta
+    scheduled_heads = params.kind is PolicyKind.MG
     t = 1
     while releases or schedule.pending_count:
         if releases and releases[-1] == t:
@@ -206,9 +215,10 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
             schedule.time = t
             continue
 
-        chosen = mg_select(heads(), params)
-        rows.append((t, chosen, schedule.pending_count, len(changes)))
-        dropped.extend(schedule.send(chosen))
+        size, at = schedule.pending_count, len(changes)
+        chosen, expired = step(alpha, beta, scheduled_heads)
+        rows.append((t, chosen, size, at))
+        dropped.extend(expired)
         t += 1
 
     total = math.fsum([row[1].value for row in rows])  # exactly rounded, as OPT's value is

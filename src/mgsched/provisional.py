@@ -8,8 +8,10 @@ and the packet at index i takes slot t + i.
 
 optimal_provisional_schedule rebuilds the schedule from scratch and is the
 reference oracle; IncrementalSchedule keeps the same schedule up to date
-through two events, a packet's arrival (insert) and the send that ends a step
-(send), and is what the simulator uses.
+through two events, a packet's arrival (insert) and the send that ends a step,
+and is what the simulator uses.  Its step applies the policies' send rule to
+the per-deadline lists in place and sends the head it picks by index; send(p)
+finds p's index by bisection and sends it the same way.
 
 Packets with the same deadline lie in the same feasibility constraints, so the
 schedule keeps a prefix of each deadline's pending packets taken in (-value,
@@ -240,14 +242,53 @@ class IncrementalSchedule:
         if tight is not None:
             self._reject_lowest_through(tight)
 
+    def step(self, alpha: float, beta: float, scheduled_heads: bool) -> tuple[Packet, list[int]]:
+        """Apply the send rule to the heads, send the packet it picks as send
+        does, and return it with the ids of the packets that expire.
+
+        The heads are the first entries of the deadlines with a scheduled
+        packet (scheduled_heads, as MG reads them) or of every pending
+        deadline (as EDF_alpha does); the pick is mg_select(heads, ...)'s.
+        Both read the same first keys past e:
+        - The greedy keeps the top pending packet, so the top head value is
+          the top of every deadline's first key.
+        - A rejected packet r due after a scheduled e is worth at most v_e.
+          Were it worth more, the slots up to some tight deadline D >= d_r
+          would have been full of packets outranking r when the greedy
+          rejected r, and e, due by D and taken later, would be rejected
+          too.  So MG's threshold, above v_e, skips no head it would send.
+        The buffer must not be empty.
+        """
+        entries = self._entries
+        top = -min(entries)[0][0]  # ids differ, so no comparison reaches a packet
+        j = 0
+        if scheduled_heads:
+            counts = self._counts
+            while not counts[j]:
+                j += 1
+        e = entries[j][0][2]
+        h_over_alpha = top / alpha  # 0.0 for alpha UNBOUNDED
+        if e.value < h_over_alpha:
+            threshold = max(h_over_alpha, beta * e.value)
+            for j in range(j + 1, len(entries)):
+                if entries[j][0][2].value >= threshold:
+                    break
+            else:  # alpha >= beta guarantees the top head qualifies
+                raise AssertionError("no qualifying packet; alpha/beta invariant broken")
+        chosen = entries[j][0][2]
+        return chosen, self._send_at(j, 0)
+
     def send(self, p: Packet) -> list[int]:
         """Send pending packet p in slot `time`, then move to the next step;
         return the ids of the packets that expire, sorted."""
-        dl, counts = self._deadlines, self._counts
-        j = bisect_left(dl, p.deadline)
+        j = bisect_left(self._deadlines, p.deadline)
         group = self._entries[j]
-        # Both policies send a deadline's first packet: no probe to build.
-        i = 0 if group[0][2] is p else bisect_left(group, (-p.value, p.id))
+        return self._send_at(j, 0 if group[0][2] is p else bisect_left(group, (-p.value, p.id)))
+
+    def _send_at(self, j: int, i: int) -> list[int]:
+        """send for the packet at entry i of deadline index j."""
+        dl, counts = self._deadlines, self._counts
+        group = self._entries[j]
         key = group.pop(i)[0]
         self.pending_count -= 1
         scheduled = i < counts[j]

@@ -37,6 +37,8 @@ def test_chain_bound_domain():
         chain_bound(math.inf, 3)
     with pytest.raises(ValueError):
         chain_bound(2.0, 0)
+    with pytest.raises(ValueError):  # an int no float holds: alpha**-k would overflow
+        chain_bound(10**400, 3)
 
 
 def test_chain_bound_capped_and_increasing_in_k():

@@ -253,15 +253,16 @@ def _json_path(line: str):
         return f"line 1: {exc}"
 
 
-def _loaded(line: str, json_calls: int):
+def _loaded(line: str, json_decodes: int):
     """The loader's packet or error text for the line, which it must have
-    decoded with json.loads that many times."""
-    with mock.patch("json.loads", wraps=json.loads) as loads:
+    decoded as JSON that many times."""
+    original = json.JSONDecoder.decode
+    with mock.patch.object(json.JSONDecoder, "decode", autospec=True, side_effect=original) as decode:
         try:
             got = loads_instance(line + "\n").packets[0]
         except ValueError as exc:
             got = str(exc)
-    assert loads.call_count == json_calls, line
+    assert decode.call_count == json_decodes, line
     return got
 
 
@@ -291,13 +292,22 @@ _NEAR_MISSES = {
 
 @given(_written_lines)
 def test_a_written_line_is_read_by_its_pattern_as_json_reads_it(line):
-    assert _loaded(line, json_calls=0) == _json_path(line)
+    assert _loaded(line, json_decodes=0) == _json_path(line)
 
 
 @given(_written_lines, st.sampled_from(sorted(_NEAR_MISSES)))
 def test_a_near_miss_of_the_written_form_is_read_by_json(line, change):
     line = _NEAR_MISSES[change](line)
-    assert _loaded(line, json_calls=1) == _json_path(line)
+    assert _loaded(line, json_decodes=1) == _json_path(line)
+
+
+def test_a_hand_formatted_file_builds_at_most_one_decoder():
+    # Keys out of written order send every line down the json path.
+    lines = [json.dumps({"value": 1.5, "id": i, "release": 1, "deadline": i + 1}) for i in range(200)]
+    with mock.patch("json.JSONDecoder", wraps=json.JSONDecoder) as decoder:
+        inst = loads_instance("\n".join(lines) + "\n")
+    assert [p.id for p in inst.packets] == list(range(200))
+    assert decoder.call_count <= 1
 
 
 def test_importing_mgsched_compiles_no_loader_pattern():

@@ -9,13 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assignment_opt, brute_best_pending_value, heads_of, mk
-from mgsched.model import UNBOUNDED, Instance, Packet
-from mgsched.policies import EmptyBufferError, PolicyParams, mg_select
+from mgsched.model import PHI, UNBOUNDED, Instance, Packet
+from mgsched.policies import EmptyBufferError, PolicyKind, PolicyParams, mg_select
 from mgsched import provisional
 from mgsched.provisional import IncrementalSchedule, canonical_key, optimal_provisional_schedule, values_at
 
 GREEDY = PolicyParams.mg(1.0, 1.0)  # sends h: the first head of the top value
 HEAD_FIRST = PolicyParams.mg(UNBOUNDED, 1.0)  # sends e: the first scheduled packet
+# The policies whose send rule the schedule's step applies in the event tests.
+STEP_POLICIES = (
+    PolicyParams.mg(PHI, PHI),
+    GREEDY,
+    HEAD_FIRST,
+    PolicyParams.edf(2.0),
+    PolicyParams.edf(UNBOUNDED),
+)
 
 
 def value_of(scheduled) -> float:
@@ -137,13 +145,14 @@ def test_adding_packet_never_decreases_value():
 
 
 # One event of a random buffer history: (kind, deadline offset, value, pick).
-# Offset 6 stands for UNBOUNDED; six values make equal values common, and the
+# Offset 6 stands for UNBOUNDED; seven values make equal values common, and the
 # smallest float, the float just above 1 and 1e300 test the exact keys and
-# total at both ends of the float range.
+# total at both ends of the float range.  1.5 lies between 2 / phi and phi, so
+# beta * v_e decides MG(phi, phi)'s threshold when e is worth 1.
 _event = st.tuples(
-    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any"]),
+    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any", "step"]),
     st.integers(0, 6),
-    st.sampled_from([1.0, 2.0, 3.0, 5e-324, 1.0 + 2**-52, 1e300]),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, 5e-324, 1.0 + 2**-52, 1e300]),
     st.integers(0, 10**6),
 )
 
@@ -159,13 +168,34 @@ def _assert_is_rebuild(schedule: IncrementalSchedule, pending: list[Packet], t: 
     for p in sorted(pending, key=canonical_key):
         heads.setdefault(p.deadline, p)
     assert schedule.heads() == list(heads.values())
+    # step reads MG's heads off every deadline's first key: the greedy always
+    # keeps the top pending packet, and a rejected packet due after the first
+    # scheduled one is worth no more than it.
+    if pending:
+        assert max(p.value for p in want) == max(p.value for p in pending)
+        e, rejected = want[0], set(pending) - set(want)
+        assert all(p.value <= e.value for p in rejected if p.deadline > e.deadline)
 
 
-def _send(schedule: IncrementalSchedule, pending: list[Packet], p: Packet, t: int) -> list[Packet]:
-    """Send p at step t on both sides; return the pending packets left at t + 1."""
+def _send(schedule: IncrementalSchedule, pending: list[Packet], p: Packet, t: int, expired=None) -> list[Packet]:
+    """Send p at step t on both sides (by send, unless `expired` holds what
+    a step that sent it returned); return the pending packets left at t + 1."""
     pending = [q for q in pending if q is not p]
-    assert schedule.send(p) == sorted(q.id for q in pending if q.deadline <= t)
+    if expired is None:
+        expired = schedule.send(p)
+    assert expired == sorted(q.id for q in pending if q.deadline <= t)
     return [q for q in pending if q.deadline > t]
+
+
+def _step(schedule: IncrementalSchedule, pending: list[Packet], params: PolicyParams, t: int):
+    """One step of the policy's send rule, which must send what mg_select picks
+    from the heads read just before it; return the packet sent and the
+    pending packets left at t + 1."""
+    mg = params.kind is PolicyKind.MG
+    want = mg_select(schedule.group_heads() if mg else schedule.heads(), params)
+    sent, expired = schedule.step(params.alpha, params.beta, mg)
+    assert sent is want
+    return sent, _send(schedule, pending, sent, t, expired)
 
 
 @settings(max_examples=400, deadline=None)
@@ -180,12 +210,13 @@ def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
             schedule.insert(p)
             pending.append(p)
         elif pending:
-            if kind == "send":  # a scheduled packet, as MG sends
+            if kind == "step":  # the send rule of one of the policies
+                _, pending = _step(schedule, pending, STEP_POLICIES[pick % len(STEP_POLICIES)], t)
+            elif kind == "send":  # a scheduled packet, as MG sends
                 scheduled = schedule.snapshot()
-                p = scheduled[pick % len(scheduled)]
+                pending = _send(schedule, pending, scheduled[pick % len(scheduled)], t)
             else:  # any pending packet, rejected ones too, as EDF may send
-                p = pending[pick % len(pending)]
-            pending = _send(schedule, pending, p, t)
+                pending = _send(schedule, pending, pending[pick % len(pending)], t)
             t += 1
         _assert_is_rebuild(schedule, pending, t)
 
@@ -232,6 +263,26 @@ def test_send_a_rejected_packet():
     assert [p.id for p in schedule.snapshot()] == [1]
 
 
+# (buffer at t = 1, the ids that STEP_POLICIES send from it, in that order)
+STEP_CASES = [
+    # x, due at 1, is rejected: y and z fill slots 1 and 2.  So MG's first
+    # head is y and EDF's is x.
+    ((mk(0, 1, 1, 1.0), mk(1, 1, 2, 5.0), mk(2, 1, 2, 4.0)), (1, 1, 1, 1, 0)),
+    # e (1.0) fails 2 / phi; 1.5 passes that, but not beta * v_e = phi.
+    ((mk(0, 1, 1, 1.0), mk(1, 1, 2, 1.5), mk(2, 1, 3, 2.0)), (2, 2, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("buffer, sent_ids", STEP_CASES)
+def test_step_sends_what_mg_select_picks_from_the_policys_heads(buffer, sent_ids):
+    for params, sent_id in zip(STEP_POLICIES, sent_ids):
+        schedule = IncrementalSchedule(1)
+        for p in buffer:
+            schedule.insert(p)
+        sent, _ = _step(schedule, list(buffer), params, 1)
+        assert sent.id == sent_id, params.describe()
+
+
 def test_group_heads_are_first_packet_of_each_deadline():
     pending = [mk(0, 1, 2, 1.0), mk(1, 1, 2, 3.0), mk(2, 1, 4, 2.0), mk(3, 1, UNBOUNDED, 1.0), mk(4, 1, UNBOUNDED, 5.0)]
     schedule = IncrementalSchedule(1)
@@ -276,7 +327,7 @@ def test_incremental_value_equals_assignment_oracle_at_hundreds_pending(target):
 # Four deadlines crowd the slots, so arrivals are often rejected and sends
 # past a tight deadline re-admit them.
 _read_event = st.tuples(
-    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any"]),
+    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any", "step"]),
     st.integers(0, 3),
     st.sampled_from([1.0, 3.0, 0.1, 5e-324, 1.0 + 2**-52, 1e300]),
     st.integers(0, 10**6),

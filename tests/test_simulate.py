@@ -120,13 +120,13 @@ def test_simulate_matches_reference_across_idle_gaps():
 
 def test_long_idle_gap_is_jumped(monkeypatch):
     sends = []
-    original = IncrementalSchedule.send
+    original = IncrementalSchedule.step
 
-    def counting(self, p):
+    def counting(self, *rule):
         sends.append(self.time)
-        return original(self, p)
+        return original(self, *rule)
 
-    monkeypatch.setattr(IncrementalSchedule, "send", counting)
+    monkeypatch.setattr(IncrementalSchedule, "step", counting)
     inst = inst_of(mk(0, 1, 1, 1.0), mk(1, 10**7, UNBOUNDED, 2.5))
     trace = simulate(inst, PolicyParams.mg(PHI, PHI))
     assert trace.sends == (StepRecord(1, 0, 1.0, 1, 1.0), StepRecord(10**7, 1, 2.5, 1, 2.5))

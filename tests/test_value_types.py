@@ -42,13 +42,22 @@ VALIDATED = {
     PolicyParams: (
         ("kind", "alpha", "beta"),
         (PolicyKind.MG, PHI, PHI),
-        [(PolicyKind.MG, 0.5, 0.5), (PolicyKind.MG, 1.0, 1.5), ("mg", PHI, PHI), (PolicyKind.EDF_ALPHA, 2.0, 1.5)],
+        [
+            (PolicyKind.MG, 0.5, 0.5),
+            (PolicyKind.MG, 1.0, 1.5),
+            ("mg", PHI, PHI),
+            (PolicyKind.EDF_ALPHA, 2.0, 1.5),
+            # ints past the float range, which simulate would divide and multiply by
+            (PolicyKind.MG, 10**400, 1.0),
+            (PolicyKind.MG, 10**400, 10**399),
+            (PolicyKind.EDF_ALPHA, 10**400, 1.0),
+        ],
     ),
     SweepCell: (("variant", "params", "n", "max_slack"), ("general", PARAMS, 12, 3), [("general", PARAMS, 0, 3)]),
     ChainInstance: (
         ("alpha", "q_values", "p_values"),
         (2.0, (1.0,), (1.0,)),
-        [(2.0, (5.0, 1.0), (1.0, 1.0)), (1.0, (1.0,), (1.0,)), (2.0, (), ())],
+        [(2.0, (5.0, 1.0), (1.0, 1.0)), (1.0, (1.0,), (1.0,)), (2.0, (), ()), (10**400, (1.0,), (1.0,))],
     ),
 }
 
