@@ -38,9 +38,9 @@ class PremiseError(ValueError):
 class ChainInstance(Frozen):
     """A charging chain: adversary values q_1..q_k vs algorithm values p_1..p_k.
 
-    Premises: 1 < alpha < inf, q_i <= alpha * p_i and q_i <= p_{i+1} for
-    i < k, and q_k <= p_k.  A chain that breaks one cannot be made: it raises
-    PremiseError.
+    Premises: 1 < alpha < inf, every value positive and at most FLOAT_MAX,
+    q_i <= alpha * p_i and q_i <= p_{i+1} for i < k, and q_k <= p_k.  A
+    chain that breaks one cannot be made: it raises PremiseError.
     """
 
     __slots__ = ("alpha", "q_values", "p_values")
@@ -51,8 +51,8 @@ class ChainInstance(Frozen):
         if len(q_values) != len(p_values) or not q_values:
             raise PremiseError("q and p must be equal-length, non-empty")
         # Each test is written so that a NaN fails it.
-        if any(not v > 0 for v in q_values + p_values):
-            raise PremiseError("chain values must be positive")
+        if any(not 0 < v <= FLOAT_MAX for v in q_values + p_values):  # an int past FLOAT_MAX has no float
+            raise PremiseError("chain values must be positive and finite")
         for i in range(len(q_values) - 1):
             if not q_values[i] <= alpha * p_values[i]:
                 raise PremiseError(f"q_{i+1} > alpha * p_{i+1}")
@@ -73,9 +73,12 @@ def chain_bound(alpha: float, k: int) -> float:
     underflows to 0 (the limit) where alpha^k would overflow."""
     if not 1 < alpha <= FLOAT_MAX:  # NaN fails; inf would give inf * 0; an int past FLOAT_MAX has no float
         raise ValueError(f"chain_bound requires a finite alpha > 1, got {alpha}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x = alpha**-k
+    if type(k) is not int or k < 1:  # a bool is no count, though Python counts it as an int
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    try:
+        x = alpha**-k
+    except OverflowError:  # a k past the float range: the limit
+        x = 0.0
     return ((2.0 - 1.0 / alpha) - alpha * x) / (1.0 - x)
 
 

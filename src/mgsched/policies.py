@@ -31,7 +31,7 @@ from itertools import starmap
 from operator import itemgetter
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .model import FLOAT_MAX, Frozen, Instance, Packet, json_number
+from .model import FLOAT_MAX, Frozen, Instance, Memo, Packet, json_number
 from .provisional import IncrementalSchedule, values_at
 
 # Unused here: perfbench/spans.py SITES wraps it under this module, which
@@ -231,17 +231,21 @@ def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
     Each line is json.dumps(obj, sort_keys=True) of its record, byte for byte;
     the step lines are formatted directly, which is several times faster than
     the encoder, and streamed from the trace's rows, so memory does not grow
-    with the trace and its `sends` tuple is not built.
+    with the trace and its `sends` tuple is not built.  Each distinct exact
+    float sent value is converted once, as dump_instance converts values;
+    the schedule values seldom repeat and are converted on every line.
     """
     # An idle row is StepRecord(t, None, 0.0, 0, 0.0): constant but for its t.
     idle = '{"buffer_size": 0, "schedule_value": 0.0, "sent_id": null, "sent_value": 0.0, "t": %d}\n'
+    text = Memo(json_number)
     t = 1
     for at, sent_id, sent_value, buffer_size, schedule_value in trace._replay():
         if at > t:
             fp.writelines(map(idle.__mod__, range(t, at)))
         fp.write(
             f'{{"buffer_size": {buffer_size}, "schedule_value": {json_number(schedule_value)}, '
-            f'"sent_id": {sent_id}, "sent_value": {json_number(sent_value)}, "t": {at}}}\n'
+            f'"sent_id": {sent_id}, '
+            f'"sent_value": {text[sent_value] if type(sent_value) is float else json_number(sent_value)}, "t": {at}}}\n'
         )
         t = at + 1
     summary = {

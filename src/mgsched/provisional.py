@@ -37,7 +37,7 @@ from bisect import bisect_left
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import UNBOUNDED, Packet
+from .model import UNBOUNDED, Memo, Packet
 
 
 def canonical_key(p: Packet) -> tuple[float, float, int]:
@@ -64,23 +64,11 @@ def _fold(units: int, changes: list[float], start: int, stop: int, to_units: Cal
     return units + sum(map(to_units, changes[start:stop]))
 
 
-class _UnitsMemo(dict):
-    """value -> _units(value), filled on first sight and cleared past 1024
-    entries.  A log repeats its values: the MG(phi, phi) lower-bound run at
-    k = 10 logs 12 066 changes of 29 distinct values."""
-
-    def __missing__(self, value: float) -> int:
-        if len(self) >= 1024:
-            self.clear()
-        units = self[value] = _units(value)
-        return units
-
-
 def values_at(changes: list[float], positions: Iterable[int]) -> Iterator[float]:
     """The scheduled value after changes[:pos] of an IncrementalSchedule's
     log, for each of the non-decreasing `positions`, as total_value would
     have read it then."""
-    to_units = _UnitsMemo().__getitem__
+    to_units = Memo(_units).__getitem__
     units = start = 0
     for stop in positions:
         units = _fold(units, changes, start, stop, to_units)

@@ -39,6 +39,13 @@ def test_chain_bound_domain():
         chain_bound(2.0, 0)
     with pytest.raises(ValueError):  # an int no float holds: alpha**-k would overflow
         chain_bound(10**400, 3)
+    for k in (True, 2.5, 3.0):  # no count: True would give 1.0, 2.5 a bound between k = 2 and 3
+        with pytest.raises(ValueError):
+            chain_bound(2.0, k)
+    # a k past the float range: alpha**-k has no float, and the bound is its limit
+    assert chain_bound(2.0, 10**400) == 1.5
+    with pytest.raises(PremiseError):  # check_chain would sum values no float holds
+        ChainInstance(2.0, (10**400,), (10**400,))
 
 
 def test_chain_bound_capped_and_increasing_in_k():

@@ -8,12 +8,22 @@ import json
 import math
 from random import Random
 
+import numpy
 import pytest
 from hypothesis import given
 
 from conftest import edf_reference, inst_of, mk, written_instances
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound
-from mgsched.model import ALL_VARIANTS, PHI, UNBOUNDED, Instance, InvalidInstanceError, Packet
+from mgsched.model import (
+    ALL_VARIANTS,
+    PHI,
+    UNBOUNDED,
+    Instance,
+    InvalidInstanceError,
+    Packet,
+    dumps_instance,
+    packet_to_obj,
+)
 from mgsched.offline import empirical_ratio, offline_optimal
 from mgsched.policies import (
     PolicyKind,
@@ -166,6 +176,62 @@ def test_each_trace_line_is_json_dumps_of_its_record(inst):
     }
     objs = [s._asdict() for s in trace.iter_steps()] + [{"summary": summary}]  # idle rows included
     assert fp.getvalue() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+def _assert_lines_are_json_dumps(inst: Instance) -> None:
+    """Each line dump_instance and dump_trace write for `inst` is
+    json.dumps(obj, sort_keys=True) of its object."""
+    objs = [packet_to_obj(p) for p in inst.packets]
+    assert dumps_instance(inst) == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+    trace = simulate(inst, PolicyParams.mg(PHI, PHI))
+    fp = io.StringIO()
+    dump_trace(trace, fp)
+    summary = {"totalValue": trace.total_value, "sentCount": trace.sent_count, "droppedCount": 0}
+    objs = [s._asdict() for s in trace.iter_steps()] + [{"summary": summary}]
+    assert fp.getvalue() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+def test_the_writers_memo_changes_no_byte():
+    # 3, 3.0 and numpy.float64(3.0) are one dict key, but 3 is written "3":
+    # each comes first once, and each packet is sent at its release.
+    threes = (3, 3.0, numpy.float64(3.0))
+    for first in range(3):
+        values = (threes[first:] + threes[:first]) * 3
+        inst = inst_of(*(mk(i, i + 1, i + 1, v) for i, v in enumerate(values)))
+        sends = simulate(inst, PolicyParams.mg(PHI, PHI)).sends
+        assert [type(s.sent_value) for s in sends] == list(map(type, values))
+        _assert_lines_are_json_dumps(inst)
+    # More distinct values than the memo keeps, each written twice.
+    rng = Random(23)
+    pool = [rng.uniform(0.1, 100.0) for _ in range(3000)]
+    values = pool + rng.sample(pool, len(pool))
+    _assert_lines_are_json_dumps(inst_of(*(mk(i, i + 1, i + 1, v) for i, v in enumerate(values))))
+
+
+def test_the_writers_convert_each_distinct_float_once(monkeypatch):
+    # The lower-bound family at k = 10: 6033 packets of 29 distinct values.
+    # Its MG(phi, phi) run makes 2032 sends of 11 distinct values.
+    import mgsched.model
+    import mgsched.policies
+
+    calls = []
+    original = mgsched.model.json_number
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    inst = generate_lower_bound(LowerBoundSpec(10, 1e-7))
+    trace = simulate(inst, PolicyParams.mg(PHI, PHI))
+    monkeypatch.setattr(mgsched.model, "json_number", counting)
+    dumps_instance(inst)
+    assert len(calls) == len({p.value for p in inst.packets}) == 29
+    calls.clear()
+    monkeypatch.setattr(mgsched.policies, "json_number", counting)
+    dump_trace(trace, io.StringIO())
+    sent = {s.sent_value for s in trace.sends}
+    # one call per schedule value, one per distinct sent value
+    assert (len(calls), len(sent)) == (trace.sent_count + len(sent), 11)
 
 
 def test_empirical_ratio_validates_once(monkeypatch):

@@ -5,6 +5,7 @@ constructor refuses.  None of it depends on how a type is implemented."""
 from __future__ import annotations
 
 import copy
+import math
 import os
 import pickle
 import subprocess
@@ -57,7 +58,16 @@ VALIDATED = {
     ChainInstance: (
         ("alpha", "q_values", "p_values"),
         (2.0, (1.0,), (1.0,)),
-        [(2.0, (5.0, 1.0), (1.0, 1.0)), (1.0, (1.0,), (1.0,)), (2.0, (), ()), (10**400, (1.0,), (1.0,))],
+        [
+            (2.0, (5.0, 1.0), (1.0, 1.0)),
+            (1.0, (1.0,), (1.0,)),
+            (2.0, (), ()),
+            (10**400, (1.0,), (1.0,)),
+            # values no float holds, which check_chain would sum
+            (2.0, (10**400,), (10**400,)),
+            (2.0, (1.0,), (10**400,)),
+            (2.0, (1.0,), (math.inf,)),
+        ],
     ),
 }
 
