@@ -39,7 +39,8 @@ class ChainInstance(Frozen):
     """A charging chain: adversary values q_1..q_k vs algorithm values p_1..p_k.
 
     Premises: 1 < alpha < inf, every value positive and at most FLOAT_MAX,
-    q_i <= alpha * p_i and q_i <= p_{i+1} for i < k, and q_k <= p_k.  A
+    each side's sum at most FLOAT_MAX, q_i <= alpha * p_i and
+    q_i <= p_{i+1} for i < k, and q_k <= p_k.  A
     chain that breaks one cannot be made: it raises PremiseError.
     """
 
@@ -53,6 +54,10 @@ class ChainInstance(Frozen):
         # Each test is written so that a NaN fails it.
         if any(not 0 < v <= FLOAT_MAX for v in q_values + p_values):  # an int past FLOAT_MAX has no float
             raise PremiseError("chain values must be positive and finite")
+        try:  # check_chain sums each side, and finite values can sum past the float range
+            math.fsum(q_values), math.fsum(p_values)
+        except OverflowError:
+            raise PremiseError("chain values must sum within the float range") from None
         for i in range(len(q_values) - 1):
             if not q_values[i] <= alpha * p_values[i]:
                 raise PremiseError(f"q_{i+1} > alpha * p_{i+1}")
@@ -211,7 +216,8 @@ def sweep(
         raise ValueError(f"a sweep needs at least one job, got {jobs}")
     # One map over every (cell, trial); both maps return results in task order.
     tasks = [(cell, seed, trial) for cell in cells for trial in range(trials)]
-    if jobs == 1:
+    workers = min(jobs, len(tasks))  # a pool starts all its workers at once
+    if workers <= 1:
         outcomes = list(map(_run_trial, tasks))
     else:
         # Imported here: the pool pulls in multiprocessing, which every other
@@ -219,8 +225,8 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         # Four chunks a worker, so that the cells' unequal costs even out.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     rows = []
     for i, cell in enumerate(cells):
         results = outcomes[i * trials : (i + 1) * trials]

@@ -8,10 +8,9 @@ and the packet at index i takes slot t + i.
 
 optimal_provisional_schedule rebuilds the schedule from scratch and is the
 reference oracle; IncrementalSchedule keeps the same schedule up to date
-through two events, a packet's arrival (insert) and the send that ends a step,
-and is what the simulator uses.  Its step applies the policies' send rule to
-the per-deadline lists in place and sends the head it picks by index; send(p)
-finds p's index by bisection and sends it the same way.
+through two events, a packet's arrival (insert) and the send that ends a step
+(step), and is what the simulator uses.  Its step applies the policies' send
+rule to the per-deadline lists in place and sends the head it picks.
 
 Packets with the same deadline lie in the same feasibility constraints, so the
 schedule keeps a prefix of each deadline's pending packets taken in (-value,
@@ -20,22 +19,21 @@ deadline, one list of entries (-value, id, packet) in that order and the
 length of its scheduled prefix, plus a running count of scheduled packets; an
 event costs at most O(G) for G distinct pending deadlines, and a send of a
 scheduled packet of the first pending deadline costs O(1) besides the list
-edits.  Insert and send bisect the entries in C, with no key function.
+edits.  Insert bisects the entries in C, with no key function.
 
 The schedule's value is a log: each change to the scheduled set appends the
-value it adds (a packet's value) or removes (its entry's -value).  Reading
-the value folds the log into one exact integer, in units (whole multiples of
-2**-1074), and rounds once, so it equals math.fsum of the scheduled values;
-values_at replays the same fold at earlier positions of the log, which is
-how the simulator's trace reads the value at each send without paying for
-it while the run goes on.
+value it adds (a packet's value) or removes (its entry's -value).  values_at
+folds the log into one exact integer, in units (whole multiples of 2**-1074),
+and rounds it once at each position it is asked for, so each value equals
+math.fsum of the values scheduled then; that is how the simulator's trace
+reads the value at each send without paying for it while the run goes on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import UNBOUNDED, Memo, Packet
 
@@ -59,19 +57,14 @@ def _units(value: float) -> int:
 _UNIT_SCALE = 1 << 1074  # units per 1.0
 
 
-def _fold(units: int, changes: list[float], start: int, stop: int, to_units: Callable[[float], int]) -> int:
-    """`units` plus the changes[start:stop] of a value log, each made exact."""
-    return units + sum(map(to_units, changes[start:stop]))
-
-
 def values_at(changes: list[float], positions: Iterable[int]) -> Iterator[float]:
     """The scheduled value after changes[:pos] of an IncrementalSchedule's
-    log, for each of the non-decreasing `positions`, as total_value would
-    have read it then."""
+    log, for each of the non-decreasing `positions`: the exact sum of the
+    changes, rounded once, so math.fsum of the values scheduled then."""
     to_units = Memo(_units).__getitem__
     units = start = 0
     for stop in positions:
-        units = _fold(units, changes, start, stop, to_units)
+        units += sum(map(to_units, changes[start:stop]))
         start = stop
         yield units / _UNIT_SCALE
 
@@ -136,10 +129,10 @@ class IncrementalSchedule:
       rejected.  Otherwise it closes a circuit iff some deadline D >= its own
       is tight; the circuit is the newcomer plus every scheduled packet with
       deadline <= the first such D, and its lowest member is rejected.
-    - send(f) at time t: f leaves, the clock moves to t+1, and rejected
-      packets due at t expire.  At t+1 a deadline D has D - t slots.  One
-      scan finds T1 and B, the first and the last tight deadline: below d_f
-      if f was scheduled, anywhere if not.
+    - step at time t sends a head f: f leaves, the clock moves to t+1, and
+      rejected packets due at t expire.  At t+1 a deadline D has D - t
+      slots.  One scan finds T1 and B, the first and the last tight
+      deadline: below d_f if f was scheduled, anywhere if not.
       - A scheduled f and no such T1: the next schedule is S - f.  Every
         deadline from d_f on lost f, so it fits in one slot fewer, and every
         deadline below d_f had a slot to spare.  A rejected packet r was
@@ -165,11 +158,9 @@ class IncrementalSchedule:
     so the simulator sets `time` to jump an idle gap.
 
     `changes` logs the scheduled value: a packet that joins the scheduled
-    set appends its value, one that leaves appends its entry's -value.  Only
-    a read of total_value turns the log's unread tail into units, the value
-    as an exact whole number of 2**-1074, and adds it to one exact sum, which
-    it rounds once; so it equals math.fsum of the scheduled values on every
-    Python version, and the events never touch the units.
+    set appends its value, one that leaves appends its entry's -value.  The
+    events never turn a value into units; values_at does that when the log
+    is read.
     """
 
     def __init__(self, time: int):
@@ -183,27 +174,10 @@ class IncrementalSchedule:
         self._counts: list[int] = []
         self._scheduled = 0  # sum(self._counts)
         self.changes: list[float] = []  # the value log, append-only
-        self._folded = 0  # how many changes _sum holds
-        self._sum = 0  # their sum, in units
-
-    @property
-    def total_value(self) -> float:
-        stop = len(self.changes)
-        self._sum = _fold(self._sum, self.changes, self._folded, stop, _units)
-        self._folded = stop
-        return self._sum / _UNIT_SCALE
 
     def snapshot(self) -> tuple[Packet, ...]:
         """The schedule as optimal_provisional_schedule would return it."""
         return tuple(e[2] for g, n in zip(self._entries, self._counts) for e in islice(g, n))
-
-    def heads(self) -> list[Packet]:
-        """First packet of each pending deadline, scheduled or rejected, in order."""
-        return [g[0][2] for g in self._entries]
-
-    def group_heads(self) -> list[Packet]:
-        """First packet of each deadline (UNBOUNDED is one deadline), in order."""
-        return [g[0][2] for g, n in zip(self._entries, self._counts) if n]
 
     def insert(self, p: Packet) -> None:
         """Add an arriving packet, rejecting the lowest of the circuit it closes."""
@@ -231,8 +205,9 @@ class IncrementalSchedule:
             self._reject_lowest_through(tight)
 
     def step(self, alpha: float, beta: float, scheduled_heads: bool) -> tuple[Packet, list[int]]:
-        """Apply the send rule to the heads, send the packet it picks as send
-        does, and return it with the ids of the packets that expire.
+        """Apply the send rule to the heads, send the head it picks in slot
+        `time`, move to the next step, and return the packet sent with the
+        ids of the packets that expire, sorted.
 
         The heads are the first entries of the deadlines with a scheduled
         packet (scheduled_heads, as MG reads them) or of every pending
@@ -247,11 +222,10 @@ class IncrementalSchedule:
           too.  So MG's threshold, above v_e, skips no head it would send.
         The buffer must not be empty.
         """
-        entries = self._entries
+        dl, entries, counts = self._deadlines, self._entries, self._counts
         top = -min(entries)[0][0]  # ids differ, so no comparison reaches a packet
         j = 0
         if scheduled_heads:
-            counts = self._counts
             while not counts[j]:
                 j += 1
         e = entries[j][0][2]
@@ -263,36 +237,23 @@ class IncrementalSchedule:
                     break
             else:  # alpha >= beta guarantees the top head qualifies
                 raise AssertionError("no qualifying packet; alpha/beta invariant broken")
-        chosen = entries[j][0][2]
-        return chosen, self._send_at(j, 0)
-
-    def send(self, p: Packet) -> list[int]:
-        """Send pending packet p in slot `time`, then move to the next step;
-        return the ids of the packets that expire, sorted."""
-        j = bisect_left(self._deadlines, p.deadline)
-        group = self._entries[j]
-        return self._send_at(j, 0 if group[0][2] is p else bisect_left(group, (-p.value, p.id)))
-
-    def _send_at(self, j: int, i: int) -> list[int]:
-        """send for the packet at entry i of deadline index j."""
-        dl, counts = self._deadlines, self._counts
-        group = self._entries[j]
-        key = group.pop(i)[0]
+        group = entries[j]
+        key, _, chosen = group.pop(0)
         self.pending_count -= 1
-        scheduled = i < counts[j]
+        scheduled = counts[j] > 0
         if scheduled:
             counts[j] -= 1
             self._scheduled -= 1
             self.changes.append(key)
         if not group:
-            del dl[j], self._entries[j], counts[j]
-        # A rejected p's lost slot `time` acts as a top packet due then, so
-        # a tight deadline anywhere counts; a scheduled p's only below it.
+            del dl[j], entries[j], counts[j]
+        # A rejected head's lost slot `time` acts as a top packet due then,
+        # so a tight deadline anywhere counts; a scheduled head's only below it.
         first, last = self._tight(0, j if scheduled else len(dl))
         if scheduled and first is not None and self._scheduled < self.pending_count:
             best = self._best_rejected_after(last)
             if best is not None:
-                self.changes.append(self._entries[best][counts[best]][2].value)
+                self.changes.append(entries[best][counts[best]][2].value)
                 counts[best] += 1
                 self._scheduled += 1
         if first is not None:
@@ -303,10 +264,10 @@ class IncrementalSchedule:
         expired: list[int] = []
         while dl and dl[0] < self.time:
             del dl[0], counts[0]
-            expired.extend(e[1] for e in self._entries.pop(0))
+            expired.extend(e[1] for e in entries.pop(0))
         self.pending_count -= len(expired)
         expired.sort()
-        return expired
+        return chosen, expired
 
     def _tight(self, lo: int, hi: int) -> tuple[int | None, int]:
         """Indices of the first and the last tight deadline in [lo, hi), or

@@ -189,6 +189,36 @@ def test_sweep_argmax_seed_reproduces_max():
     assert empirical_ratio(inst, PolicyParams.mg(1.5, 1.5)).ratio == row.max_ratio
 
 
+def test_sweep_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # A pool forks all its workers at once, so --jobs 5000 must not fork 5000
+    # processes for 9 trials.  The fake pool runs the map in this process.
+    import concurrent.futures
+
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            made.append((self.max_workers, chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    cells = table1_cells(n=10)
+    want = sweep(cells, trials=1, seed=9, jobs=1)
+    assert sweep(cells, trials=1, seed=9, jobs=5000) == want
+    assert sweep(cells[:1], trials=1, seed=9, jobs=5000) == sweep(cells[:1], trials=1, seed=9)
+    assert sweep(cells, trials=8, seed=9, jobs=3) == sweep(cells, trials=8, seed=9)
+    assert made == [(9, 1), (3, 6)]  # one trial alone runs with no pool
+
+
 def test_sweep_deterministic_across_jobs():
     cells = table1_cells(n=10)[:3]
     a = sweep(cells, trials=24, seed=9, jobs=1)

@@ -145,29 +145,31 @@ def test_adding_packet_never_decreases_value():
 
 
 # One event of a random buffer history: (kind, deadline offset, value, pick).
-# Offset 6 stands for UNBOUNDED; seven values make equal values common, and the
-# smallest float, the float just above 1 and 1e300 test the exact keys and
-# total at both ends of the float range.  1.5 lies between 2 / phi and phi, so
-# beta * v_e decides MG(phi, phi)'s threshold when e is worth 1.
+# A step sends under STEP_POLICIES[pick]: MG's send a scheduled head, EDF's
+# may send a rejected one.  Offset 6 stands for UNBOUNDED; seven values make
+# equal values common, and the smallest float, the float just above 1 and
+# 1e300 test the exact keys and total at both ends of the float range.  1.5
+# lies between 2 / phi and phi, so beta * v_e decides MG(phi, phi)'s
+# threshold when e is worth 1.
 _event = st.tuples(
-    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any", "step"]),
+    st.sampled_from(["arrive", "step"]),
     st.integers(0, 6),
     st.sampled_from([1.0, 1.5, 2.0, 3.0, 5e-324, 1.0 + 2**-52, 1e300]),
     st.integers(0, 10**6),
 )
 
 
+def _value(schedule: IncrementalSchedule) -> float:
+    """The schedule's value, read off its whole log."""
+    return next(values_at(schedule.changes, [len(schedule.changes)]))
+
+
 def _assert_is_rebuild(schedule: IncrementalSchedule, pending: list[Packet], t: int) -> None:
     want = optimal_provisional_schedule(pending, t)
     assert schedule.time == t
     assert schedule.snapshot() == want
-    assert schedule.total_value == value_of(want)
-    assert schedule.group_heads() == heads_of(want)
+    assert _value(schedule) == value_of(want)
     assert schedule.pending_count == len(pending)
-    heads: dict[float, Packet] = {}
-    for p in sorted(pending, key=canonical_key):
-        heads.setdefault(p.deadline, p)
-    assert schedule.heads() == list(heads.values())
     # step reads MG's heads off every deadline's first key: the greedy always
     # keeps the top pending packet, and a rejected packet due after the first
     # scheduled one is worth no more than it.
@@ -177,25 +179,18 @@ def _assert_is_rebuild(schedule: IncrementalSchedule, pending: list[Packet], t: 
         assert all(p.value <= e.value for p in rejected if p.deadline > e.deadline)
 
 
-def _send(schedule: IncrementalSchedule, pending: list[Packet], p: Packet, t: int, expired=None) -> list[Packet]:
-    """Send p at step t on both sides (by send, unless `expired` holds what
-    a step that sent it returned); return the pending packets left at t + 1."""
-    pending = [q for q in pending if q is not p]
-    if expired is None:
-        expired = schedule.send(p)
-    assert expired == sorted(q.id for q in pending if q.deadline <= t)
-    return [q for q in pending if q.deadline > t]
-
-
 def _step(schedule: IncrementalSchedule, pending: list[Packet], params: PolicyParams, t: int):
     """One step of the policy's send rule, which must send what mg_select picks
-    from the heads read just before it; return the packet sent and the
-    pending packets left at t + 1."""
+    from the heads read just before it: the schedule's for MG, the buffer's
+    for EDF_alpha.  Return the packet sent and the pending packets left at
+    t + 1."""
     mg = params.kind is PolicyKind.MG
-    want = mg_select(schedule.group_heads() if mg else schedule.heads(), params)
+    want = mg_select(heads_of(schedule.snapshot() if mg else sorted(pending, key=canonical_key)), params)
     sent, expired = schedule.step(params.alpha, params.beta, mg)
     assert sent is want
-    return sent, _send(schedule, pending, sent, t, expired)
+    pending = [q for q in pending if q is not sent]
+    assert expired == sorted(q.id for q in pending if q.deadline <= t)
+    return sent, [q for q in pending if q.deadline > t]
 
 
 @settings(max_examples=400, deadline=None)
@@ -210,24 +205,19 @@ def test_incremental_schedule_equals_rebuild_after_every_event(start, events):
             schedule.insert(p)
             pending.append(p)
         elif pending:
-            if kind == "step":  # the send rule of one of the policies
-                _, pending = _step(schedule, pending, STEP_POLICIES[pick % len(STEP_POLICIES)], t)
-            elif kind == "send":  # a scheduled packet, as MG sends
-                scheduled = schedule.snapshot()
-                pending = _send(schedule, pending, scheduled[pick % len(scheduled)], t)
-            else:  # any pending packet, rejected ones too, as EDF may send
-                pending = _send(schedule, pending, pending[pick % len(pending)], t)
+            _, pending = _step(schedule, pending, STEP_POLICIES[pick % len(STEP_POLICIES)], t)
             t += 1
         _assert_is_rebuild(schedule, pending, t)
 
 
-def _after_one_send(pending: list[Packet], sent_id: int) -> IncrementalSchedule:
+def _after_one_send(pending: list[Packet], params: PolicyParams, sent_id: int) -> IncrementalSchedule:
     schedule = IncrementalSchedule(1)
     for p in pending:
         schedule.insert(p)
     _assert_is_rebuild(schedule, pending, 1)
-    sent = next(p for p in pending if p.id == sent_id)
-    _assert_is_rebuild(schedule, _send(schedule, pending, sent, 1), 2)
+    sent, pending = _step(schedule, pending, params, 1)
+    assert sent.id == sent_id
+    _assert_is_rebuild(schedule, pending, 2)
     return schedule
 
 
@@ -236,7 +226,7 @@ def test_send_with_no_tight_deadline_ahead_keeps_the_rest():
     # h behind f and g at 3.  Nothing before f's deadline is tight, so all
     # that moves is f leaving.
     a, b, f, g, h = mk(0, 1, 2, 4.0), mk(1, 1, 2, 1.0), mk(2, 1, 3, 5.0), mk(3, 1, 3, 3.0), mk(4, 1, 3, 2.0)
-    schedule = _after_one_send([a, b, f, g, h], sent_id=2)
+    schedule = _after_one_send([a, b, f, g, h], GREEDY, sent_id=2)
     assert [p.id for p in schedule.snapshot()] == [0, 3]
 
 
@@ -244,7 +234,7 @@ def test_send_past_a_tight_deadline_readmits_and_rejects():
     # a is due in slot 1, so sending f there loses a; f's place goes to h,
     # the best packet waiting past a's deadline.
     a, f, g, h = mk(0, 1, 1, 3.0), mk(1, 1, 3, 5.0), mk(2, 1, 3, 4.0), mk(3, 1, 3, 1.0)
-    schedule = _after_one_send([a, f, g, h], sent_id=1)
+    schedule = _after_one_send([a, f, g, h], GREEDY, sent_id=1)
     assert [p.id for p in schedule.snapshot()] == [2, 3]
 
 
@@ -252,15 +242,25 @@ def test_send_past_two_tight_deadlines_rejects_through_the_first():
     # Deadlines 1 and 2 are both tight ahead of f, nothing waits past them,
     # and the slot-1 packet a is the one lost: not b, the cheapest through 2.
     a, b, f = mk(0, 1, 1, 5.0), mk(1, 1, 2, 1.0), mk(2, 1, 4, 9.0)
-    schedule = _after_one_send([a, b, f], sent_id=2)
+    schedule = _after_one_send([a, b, f], GREEDY, sent_id=2)
     assert [p.id for p in schedule.snapshot()] == [1]
 
 
 def test_send_a_rejected_packet():
-    # r waits behind b at deadline 2; sending it in slot 1 loses a, due there.
-    a, b, r = mk(0, 1, 1, 5.0), mk(1, 1, 2, 4.0), mk(2, 1, 2, 1.0)
-    schedule = _after_one_send([a, b, r], sent_id=2)
-    assert [p.id for p in schedule.snapshot()] == [1]
+    # r, alone at deadline 2, is rejected: b, c and g fill slots 1-3.  It is
+    # the first head, so EDF(inf) sends it, and the lost slot 1 rejects g,
+    # the lowest packet through deadline 3.
+    r, b, c, g = mk(0, 1, 2, 1.0), mk(1, 1, 3, 4.0), mk(2, 1, 3, 3.0), mk(3, 1, 3, 2.0)
+    schedule = _after_one_send([r, b, c, g], PolicyParams.edf(UNBOUNDED), sent_id=0)
+    assert [p.id for p in schedule.snapshot()] == [1, 2]
+
+
+def test_readmission_tie_goes_to_the_earlier_deadline():
+    # Sending f loses a, due in slot 1, and frees a place that r1 and r2,
+    # rejected with equal values, both want: r1, due first, outranks r2.
+    a, f, x, r1, r2 = mk(0, 1, 1, 3.0), mk(1, 1, 2, 9.0), mk(2, 1, 3, 5.0), mk(3, 1, 2, 1.0), mk(4, 1, 3, 1.0)
+    schedule = _after_one_send([a, f, x, r1, r2], GREEDY, sent_id=1)
+    assert [p.id for p in schedule.snapshot()] == [3, 2]
 
 
 # (buffer at t = 1, the ids that STEP_POLICIES send from it, in that order)
@@ -284,23 +284,31 @@ def test_step_sends_what_mg_select_picks_from_the_policys_heads(buffer, sent_ids
 
 
 def test_group_heads_are_first_packet_of_each_deadline():
+    # MG's step sends from the first packet of each deadline that has a
+    # scheduled one (UNBOUNDED is one deadline): here 1, 2 and 4.  Under
+    # MG(phi, phi), e (3.0) fails 5 / phi, and the threshold phi * 3.0 skips 2.
     pending = [mk(0, 1, 2, 1.0), mk(1, 1, 2, 3.0), mk(2, 1, 4, 2.0), mk(3, 1, UNBOUNDED, 1.0), mk(4, 1, UNBOUNDED, 5.0)]
-    schedule = IncrementalSchedule(1)
-    for p in pending:
-        schedule.insert(p)
-    assert [p.id for p in schedule.group_heads()] == [1, 2, 4]
-    assert schedule.group_heads() == heads_of(optimal_provisional_schedule(pending, 1))
-    assert IncrementalSchedule(1).group_heads() == heads_of(optimal_provisional_schedule([], 1)) == []
+    heads = heads_of(optimal_provisional_schedule(pending, 1))
+    assert [p.id for p in heads] == [1, 2, 4]
+    for params, sent_id in ((PolicyParams.mg(PHI, PHI), 4), (GREEDY, 4), (HEAD_FIRST, 1)):
+        schedule = IncrementalSchedule(1)
+        for p in pending:
+            schedule.insert(p)
+        assert heads_of(schedule.snapshot()) == heads
+        sent, _ = _step(schedule, pending, params, 1)
+        assert sent.id == sent_id, params.describe()
+    assert heads_of(IncrementalSchedule(1).snapshot()) == heads_of(optimal_provisional_schedule([], 1)) == []
 
 
 @pytest.mark.parametrize("target", [100, 250, 400])
 def test_incremental_value_equals_assignment_oracle_at_hundreds_pending(target):
-    """Random insert/send histories that hold `target` pending packets or so,
+    """Random insert/step histories that hold `target` pending packets or so,
     with dyadic values (so every sum is exact) and some UNBOUNDED deadlines:
-    after each burst of inserts and each send, the schedule's value is the
+    after each burst of inserts and each step, the schedule's value is the
     assignment optimum of the pending packets, all taken as released now.
-    Sends take a scheduled head, as MG does, or any pending packet, as
-    EDF_alpha may."""
+    Each step sends under a random one of STEP_POLICIES, so it takes a
+    scheduled head, as MG does, or possibly a rejected one, as EDF_alpha
+    may."""
     rng = Random(f"assignment:{target}")
     t = rng.randint(1, 50)
     schedule = IncrementalSchedule(t)
@@ -315,19 +323,18 @@ def test_incremental_value_equals_assignment_oracle_at_hundreds_pending(target):
                 schedule.insert(p)
                 pending.append(p)
         elif pending:
-            p = rng.choice(schedule.group_heads()) if rng.random() < 0.7 else rng.choice(pending)
-            pending = _send(schedule, pending, p, t)
+            _, pending = _step(schedule, pending, rng.choice(STEP_POLICIES), t)
             t += 1
         assert schedule.pending_count == len(pending)
         now = Instance(tuple(Packet(p.id, t, p.deadline, p.value) for p in pending))
-        assert schedule.total_value == assignment_opt(now)
+        assert _value(schedule) == assignment_opt(now)
 
 
-# (kind, deadline offset, value, pick, reads of total_value after the event).
+# (kind, deadline offset, value, pick, reads of the value after the event).
 # Four deadlines crowd the slots, so arrivals are often rejected and sends
 # past a tight deadline re-admit them.
 _read_event = st.tuples(
-    st.sampled_from(["arrive", "arrive", "arrive", "send", "send-any", "step"]),
+    st.sampled_from(["arrive", "step"]),
     st.integers(0, 3),
     st.sampled_from([1.0, 3.0, 0.1, 5e-324, 1.0 + 2**-52, 1e300]),
     st.integers(0, 10**6),
@@ -339,7 +346,7 @@ _read_event = st.tuples(
 @given(st.lists(_read_event, max_size=60))
 def test_total_value_read_anywhere_is_the_fsum_of_the_schedule(events):
     # Reads come after some events, twice in a row after others, and the
-    # events convert no value to units: only a read folds the log.
+    # events convert no value to units: only a read of the log does.
     converted = []
     to_units = provisional._units
     with mock.patch.object(provisional, "_units", lambda v: converted.append(v) or to_units(v)):
@@ -352,15 +359,13 @@ def test_total_value_read_anywhere_is_the_fsum_of_the_schedule(events):
                 schedule.insert(p)
                 pending.append(p)
             elif pending:
-                scheduled = schedule.snapshot()
-                pool = scheduled if kind == "send" and scheduled else pending
-                pending = _send(schedule, pending, pool[pick % len(pool)], t)
+                _, pending = _step(schedule, pending, STEP_POLICIES[pick % len(STEP_POLICIES)], t)
                 t += 1
             assert converted == []
             for _ in range(reads):
-                assert schedule.total_value == value_of(schedule.snapshot())
+                assert _value(schedule) == value_of(schedule.snapshot())
                 converted.clear()
-        assert schedule.total_value == value_of(optimal_provisional_schedule(pending, t))
+        assert _value(schedule) == value_of(optimal_provisional_schedule(pending, t))
 
 
 def test_values_at_is_the_fsum_of_each_prefix_of_the_log():

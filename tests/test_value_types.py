@@ -67,6 +67,9 @@ VALIDATED = {
             (2.0, (10**400,), (10**400,)),
             (2.0, (1.0,), (10**400,)),
             (2.0, (1.0,), (math.inf,)),
+            # finite values whose sums no float holds
+            (2.0, (1e308, 1e308), (1e308, 1e308)),
+            (2.0, (1.0, 1.0), (1e308, 1e308)),
         ],
     ),
 }
