@@ -6,7 +6,6 @@ from .analysis import (
     SweepReport,
     chain_bound,
     check_chain,
-    extremal_chain,
     random_chain,
     sweep,
     table1_cells,
@@ -23,15 +22,8 @@ from .model import (
     loads_instance,
     validate_instance,
 )
-from .offline import OffSchedule, RatioReport, brute_force_optimal, empirical_ratio, offline_optimal
-from .policies import (
-    PolicyKind,
-    PolicyParams,
-    SimulationTrace,
-    mg_select,
-    simulate,
-)
-from .provisional import optimal_provisional_schedule
+from .offline import OffSchedule, RatioReport, empirical_ratio, offline_optimal
+from .policies import PolicyKind, PolicyParams, SimulationTrace, simulate
 
 __all__ = [
     "PHI",
@@ -48,21 +40,17 @@ __all__ = [
     "SimulationTrace",
     "SweepCell",
     "SweepReport",
-    "brute_force_optimal",
     "chain_bound",
     "check_chain",
     "classify_variants",
     "dumps_instance",
     "empirical_ratio",
-    "extremal_chain",
     "generate",
     "generate_lower_bound",
     "lb_ratio_formula",
     "load_instance",
     "loads_instance",
-    "mg_select",
     "offline_optimal",
-    "optimal_provisional_schedule",
     "random_chain",
     "simulate",
     "sweep",

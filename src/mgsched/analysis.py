@@ -26,6 +26,7 @@ from .model import (
     VARIANT_ANTI_AGREEABLE_SLACK_VALUE,
     VARIANT_ANTI_AGREEABLE_VALUE,
     Frozen,
+    csv_text,
 )
 from .offline import empirical_ratio
 from .policies import PolicyParams
@@ -102,18 +103,6 @@ def random_chain(rng: Random, alpha: float, k: int) -> ChainInstance:
     return ChainInstance(alpha, tuple(q), tuple(p))
 
 
-def extremal_chain(alpha: float, k: int) -> ChainInstance:
-    """Chain built from the bound's tight pattern, each q_i shrunk by a factor
-    1 - 1e-9 below its cap; the ratio approaches the bound."""
-    p = [1.0]
-    q = []
-    for _ in range(k - 1):
-        q.append(alpha * p[-1] * (1.0 - 1e-9))
-        p.append(q[-1])
-    q.append(p[-1])
-    return ChainInstance(alpha, tuple(q), tuple(p))
-
-
 # ---------------------------------------------------------------------------
 # Ratio sweeps.
 # ---------------------------------------------------------------------------
@@ -155,26 +144,9 @@ class SweepRow(NamedTuple):
 class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
-    CSV_HEADER = "variant,kind,alpha,beta,trials,max_ratio,mean_ratio,argmax_seed"
-
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.variant,
-                        r.kind,
-                        repr(r.alpha),
-                        repr(r.beta),
-                        str(r.trials),
-                        repr(r.max_ratio),
-                        repr(r.mean_ratio),
-                        str(r.argmax_seed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """A header of SweepRow's field names, then one row per cell."""
+        return csv_text([SweepRow._fields, *self.rows])
 
     def to_table(self) -> str:
         widths = (32, 28, 12, 12)

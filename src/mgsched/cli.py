@@ -28,7 +28,7 @@ from .model import (
     dump_instance,
     load_instance,
 )
-from .offline import RATIO_CSV_HEADER, empirical_ratio, offline_optimal, ratio_csv_row
+from .offline import empirical_ratio, offline_optimal, ratio_csv
 from .policies import PolicyKind, PolicyParams, dump_trace, simulate
 
 EXIT_OK = 0
@@ -183,10 +183,9 @@ def _cmd_ratio(args) -> int:
     inst = _load(args.infile)
     params = _policy_from_args(args)
     report = empirical_ratio(inst, params)
-    row = ratio_csv_row(report, inst, params)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fp:
-            fp.write(RATIO_CSV_HEADER + "\n" + row + "\n")
+            fp.write(ratio_csv(report, inst, params))
     print(f"optValue {report.opt_value!r}")
     print(f"algValue {report.alg_value!r}")
     print(f"ratio {report.ratio!r}")

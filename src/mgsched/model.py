@@ -124,10 +124,6 @@ class Packet(Frozen):
         """d_p - r_p; UNBOUNDED deadline gives unbounded slack."""
         return self.deadline - self.release
 
-    @property
-    def has_bounded_deadline(self) -> bool:
-        return self.deadline != UNBOUNDED
-
 
 _set_id, _set_release, _set_deadline, _set_value = Packet._setters
 
@@ -276,15 +272,6 @@ def classify_variants(inst: Instance) -> dict[str, bool]:
 # The loader reads a line in this written form by its pattern, any other by json.
 # ---------------------------------------------------------------------------
 
-def packet_to_obj(p: Packet) -> dict:
-    return {
-        "id": p.id,
-        "release": p.release,
-        "deadline": None if not p.has_bounded_deadline else int(p.deadline),
-        "value": p.value,
-    }
-
-
 def packet_from_obj(obj: dict) -> Packet:
     """The packet of one JSON object, which must hold integer id, release and
     deadline (null for UNBOUNDED) and a numeric value, an integer one only if a
@@ -326,12 +313,22 @@ def json_number(x: float) -> str:
     return repr(x) if type(x) is float else json.dumps(x)
 
 
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """Rows as CSV lines ending in "\n", each field as str() writes it and
+    quoted where it holds a comma, a quote or a line break."""
+    import csv  # only the commands that write a CSV load it
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 class Memo(dict):
     """key -> function(key) for one call, filled on first sight and cleared
     past 1024 entries.  Equal keys share one result, so the writers key it
-    by exact floats only (see dump_instance).  A family's values repeat: the
-    MG(phi, phi) lower-bound family at k = 10 has 6033 packets of 29
-    distinct values, and its run logs 12 066 changes of them."""
+    by exact floats only (see dump_instance).  It pays where a family's
+    values repeat."""
 
     def __init__(self, function: Callable):
         self.function = function
@@ -345,10 +342,10 @@ class Memo(dict):
 
 def dump_instance(inst: Instance, fp: IO[str]) -> None:
     """Write the instance as JSON lines: the meta line, if any, then one line
-    per packet.  Each line is json.dumps(obj, sort_keys=True) of its object
-    (packet_to_obj for a packet), byte for byte; the packet lines are
-    formatted directly, which is several times faster than the encoder, and
-    written in one call, which is faster than a call per line.
+    per packet.  Each line is json.dumps(obj, sort_keys=True) of its object,
+    shown above, byte for byte; the packet lines are formatted directly,
+    which is several times faster than the encoder, and written in one call,
+    which is faster than a call per line.
 
     Each distinct exact float value is converted once, through a Memo.  An
     int or a float subclass is converted on every line: 3, 3.0 and

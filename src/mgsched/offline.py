@@ -24,16 +24,11 @@ deadline than the carried packet, found in a max tree of occupant deadlines
 over the timeline, so O(log n) a swap.  The chain shift starts plain and
 switches to jumping, keeping the assignment it has, once the slots walked
 past the releases of the first i packets in greedy order reach
-WALK_BUDGET * log2(n) * i.  The largest walk / (i*log2 n) over all
-prefixes: 1.87 on 7200 instances of the nine table1 sweep cells (n <= 40,
-max slack 8, sweep seeds 0, 7, 801 and 901) and 0.31 on 100 bursts of 30
-general packets 5000 steps apart, so both stay on the plain walk; jumping
-from the start takes about 3.3x as long on the sweep's instances.  On the
-lower-bound family the walk switches after the 240th, 255th, 272nd and
-486th packet for k = 6, 8, 10 and 12 (of 341, 1463, 6033 and 24 419).  At
-k = 10 the plain walk alone would step over 6.18 million slots and swap at
-only 4032 of them.  An exhaustive oracle cross-checks the solver on small
-instances.
+WALK_BUDGET * log2(n) * i.  Short windows, such as the ratio sweep's, stay
+on the plain walk, where jumping costs several times as much; long shift
+chains, such as the lower-bound family's, switch early, where the plain
+walk would step over millions of slots to swap at a few thousand.  An
+exhaustive oracle cross-checks the solver on small instances.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .model import UNBOUNDED, Frozen, Instance, Packet
+from .model import UNBOUNDED, Frozen, Instance, Packet, csv_text
 from .policies import PolicyParams, simulate
 from .provisional import _priority
 
@@ -86,9 +81,7 @@ WALK_BUDGET = 4
 
 
 def _walk_budget(n: int) -> float:
-    """The chain shift's walk allowance per packet read, WALK_BUDGET * log2(n).
-    Over every prefix, the sweep's instances walk at most 1.87 * log2(n) slots
-    a packet and the sparse-span bursts 0.31 * log2(n)."""
+    """The chain shift's walk allowance per packet read, WALK_BUDGET * log2(n)."""
     return WALK_BUDGET * math.log2(max(n, 1))
 
 
@@ -97,10 +90,8 @@ def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, 
     assignment, shifting later-deadline occupants right; a packet with no
     augmenting placement is left out.  Returns slot -> packet.  The walk steps
     slot by slot until the slots walked past the releases of the first i
-    packets reach `budget` * i; _jump_walk then places the rest.  Under
-    _walk_budget that is after packet 240, 255, 272 and 486 of the lower-bound
-    family at k = 6, 8, 10 and 12; budget inf never jumps and budget 0 jumps
-    from the second packet on."""
+    packets reach `budget` * i; _jump_walk then places the rest.  Budget inf
+    never jumps and budget 0 jumps from the second packet on."""
     slots: dict[int, Packet] = {}
     walked = 0
     for i, p in enumerate(order, 1):
@@ -270,22 +261,13 @@ def empirical_ratio(inst: Instance, params: PolicyParams) -> RatioReport:
     return RatioReport.from_values(offline_optimal(inst).total_value, simulate(inst, params).total_value)
 
 
-RATIO_CSV_HEADER = "instance_id,variant,policy,alpha,beta,opt_value,alg_value,ratio"
-
-
-def ratio_csv_row(report: RatioReport, inst: Instance, params: PolicyParams) -> str:
+def ratio_csv(report: RatioReport, inst: Instance, params: PolicyParams) -> str:
+    """The ratio command's CSV: a header, then one row, whose instance id and
+    variant are the meta's seed (or k) and variant (or family), as str."""
     meta = inst.meta or {}
     instance_id = meta.get("seed", meta.get("k", ""))
     variant = meta.get("variant", meta.get("family", ""))
-    return ",".join(
-        [
-            str(instance_id),
-            str(variant),
-            params.kind.value,
-            repr(params.alpha),
-            repr(params.beta),
-            repr(report.opt_value),
-            repr(report.alg_value),
-            repr(report.ratio),
-        ]
-    )
+    return csv_text([
+        ("instance_id", "variant", "policy", "alpha", "beta", *RatioReport._fields),
+        (str(instance_id), str(variant), params.kind.value, params.alpha, params.beta, *report),
+    ])

@@ -127,23 +127,17 @@ class SimulationTrace(Frozen):
             _set_log(self, None)
         return self._sends
 
-    def iter_steps(self) -> Iterator[StepRecord]:
-        """Every step from t = 1 to the last send; a step between sends is idle."""
-        t = 1
-        for s in self.sends:
-            for idle in range(t, s.t):
-                yield StepRecord(idle, None, 0.0, 0, 0.0)
-            yield s
-            t = s.t + 1
-
     @property
     def steps(self) -> tuple[StepRecord, ...]:
-        """The per-step trace, with the idle rows synthesized on each call."""
-        return tuple(self.iter_steps())
-
-    @property
-    def sent_ids(self) -> tuple[int, ...]:
-        return tuple(s.sent_id for s in self.sends)
+        """Every step from t = 1 to the last send, with the steps between
+        sends synthesized as idle rows on each call."""
+        steps = []
+        t = 1
+        for s in self.sends:
+            steps += [StepRecord(idle, None, 0.0, 0, 0.0) for idle in range(t, s.t)]
+            steps.append(s)
+            t = s.t + 1
+        return tuple(steps)
 
     @property
     def sent_count(self) -> int:

@@ -5,6 +5,7 @@ import math
 import numpy
 from hypothesis import strategies as st
 
+from mgsched.analysis import ChainInstance
 from mgsched.model import UNBOUNDED, Instance, Packet
 from mgsched.policies import SimulationTrace
 from mgsched.provisional import optimal_provisional_schedule
@@ -44,6 +45,32 @@ written_instances = st.builds(
     ),
     st.none() | st.dictionaries(st.text(max_size=3), st.integers() | st.floats(), max_size=2),
 )
+
+
+def packet_to_obj(p: Packet) -> dict:
+    """The object of a packet's written line: a null deadline for UNBOUNDED."""
+    return {
+        "id": p.id,
+        "release": p.release,
+        "deadline": None if p.deadline == UNBOUNDED else int(p.deadline),
+        "value": p.value,
+    }
+
+
+def sent_ids(trace: SimulationTrace) -> tuple[int, ...]:
+    return tuple(s.sent_id for s in trace.sends)
+
+
+def extremal_chain(alpha: float, k: int) -> ChainInstance:
+    """Chain built from the bound's tight pattern, each q_i shrunk by a factor
+    1 - 1e-9 below its cap; the ratio approaches the bound."""
+    p = [1.0]
+    q = []
+    for _ in range(k - 1):
+        q.append(alpha * p[-1] * (1.0 - 1e-9))
+        p.append(q[-1])
+    q.append(p[-1])
+    return ChainInstance(alpha, tuple(q), tuple(p))
 
 
 def heads_of(scheduled) -> list[Packet]:

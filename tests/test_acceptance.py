@@ -18,8 +18,8 @@ from random import Random
 
 import pytest
 
-from conftest import brute_best_pending_value, value_order_held
-from mgsched.analysis import chain_bound, check_chain, derive_seed, extremal_chain, random_chain, sweep, table1_cells
+from conftest import brute_best_pending_value, extremal_chain, sent_ids, value_order_held
+from mgsched.analysis import chain_bound, check_chain, derive_seed, random_chain, sweep, table1_cells
 from mgsched.cli import main as cli_main
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound, lb_ratio_formula
 from mgsched.model import PHI, UNBOUNDED, Instance, Packet
@@ -146,7 +146,7 @@ def test_criterion_5_lower_bound_family():
         inst = generate_lower_bound(LowerBoundSpec(k, epsilon=1e-6))
         trace = simulate(inst, params)
         by_id = {p.id: p for p in inst.packets}
-        h_only = all(by_id[i].deadline == UNBOUNDED for i in trace.sent_ids)
+        h_only = all(by_id[i].deadline == UNBOUNDED for i in sent_ids(trace))
         h_only_all = h_only_all and h_only
         opt = offline_optimal(inst).total_value
         ratios.append(opt / trace.total_value)

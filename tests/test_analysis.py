@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 from random import Random
 
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import extremal_chain
 from mgsched.analysis import (
     ChainInstance,
     PremiseError,
     SweepCell,
+    SweepRow,
     chain_bound,
     check_chain,
     derive_seed,
-    extremal_chain,
     random_chain,
     sweep,
     table1_cells,
@@ -133,6 +137,16 @@ def test_sweep_smoke_and_report_shapes():
     assert csv.splitlines()[0] == "variant,kind,alpha,beta,trials,max_ratio,mean_ratio,argmax_seed"
     assert len(csv.splitlines()) == 2
     assert "general" in report.to_table()
+
+
+def test_sweep_csv_reads_back_what_it_wrote():
+    # numpy.float64 parameters are written as their floats, not as their reprs.
+    params = PolicyParams.mg(numpy.float64(1.5), numpy.float64(1.5))
+    report = sweep([SweepCell("general", params, n=6)], trials=3, seed=3)
+    (row,) = report.rows
+    header, fields = csv.reader(io.StringIO(report.to_csv()))
+    assert header == list(SweepRow._fields)
+    assert fields == ["general", "mg", "1.5", "1.5", "3", repr(row.max_ratio), repr(row.mean_ratio), str(row.argmax_seed)]
 
 
 def test_sweep_cell_refuses_bad_fields_when_made():

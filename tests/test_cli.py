@@ -246,9 +246,16 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["sweep", "--variants", variants, "--trials", "1"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "--variants names no variant" in captured.err
-    # a NaN alpha is rejected, never run
+    assert main(["sweep", "--variants", "general,bogus", "--trials", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error: unknown variant 'bogus'" in captured.err
+    # an alpha that is no number is a usage error, and a NaN alpha is rejected, never run
     inst = tmp_path / "g.jsonl"
     assert main(["gen", "--n", "10", "--out", str(inst)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--in", str(inst), "--alpha", "nope"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error: bad alpha/beta value: 'nope'" in captured.err
     for args in (
         ["run", "--in", str(inst), "--alpha", "nan"],
         ["run", "--in", str(inst), "--policy", "edf", "--alpha", "nan"],

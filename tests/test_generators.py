@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from conftest import sent_ids
 from mgsched.generators import (
     VALUE_GRID_STEPS,
     GenSpec,
@@ -163,7 +164,7 @@ def test_lb_spec_validation():
 
 def _h_only(inst, trace) -> bool:
     by_id = {p.id: p for p in inst.packets}
-    return all(by_id[i].deadline == UNBOUNDED for i in trace.sent_ids)
+    return all(by_id[i].deadline == UNBOUNDED for i in sent_ids(trace))
 
 
 def test_lb_k1_degenerate_sends_top_only():
@@ -198,6 +199,12 @@ def test_lb_ratio_grows_toward_two():
 
 def test_lb_formula_near_two_for_large_k():
     assert abs(lb_ratio_formula(60) - 2.0) < 1e-6
+
+
+def test_lb_formula_refuses_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lb_ratio_formula(k)
 
 
 def test_lb_formula_in_unit_band_and_increasing():

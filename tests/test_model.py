@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import inst_of, mk, naive_pairwise_flags, written_instances
+from conftest import inst_of, mk, naive_pairwise_flags, packet_to_obj, written_instances
 from mgsched.model import (
     UNBOUNDED,
     Instance,
@@ -24,7 +24,6 @@ from mgsched.model import (
     dumps_instance,
     loads_instance,
     packet_from_obj,
-    packet_to_obj,
     validate_instance,
 )
 
@@ -85,7 +84,6 @@ def test_unbounded_deadline_is_valid_and_has_unbounded_slack():
     assert validate_instance((p,)) == []
     assert inst_of(p).packets == (p,)
     assert p.slack == UNBOUNDED
-    assert not p.has_bounded_deadline
 
 
 _any_packets = st.lists(

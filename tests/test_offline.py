@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 import tracemalloc
 from random import Random
 
+import numpy
 import pytest
 
 from conftest import assignment_opt, inst_of, mk
@@ -19,7 +22,7 @@ from mgsched.offline import (
     brute_force_optimal,
     empirical_ratio,
     offline_optimal,
-    ratio_csv_row,
+    ratio_csv,
 )
 from mgsched.policies import PolicyParams, simulate
 from mgsched.provisional import _priority
@@ -122,13 +125,29 @@ def test_empirical_ratio_trivial_and_bounded_below():
         assert empirical_ratio(inst, PolicyParams.mg(1.5, 1.5)).ratio >= 1.0 - 1e-12
 
 
+def _ratio_csv_rows(inst: Instance, params: PolicyParams) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(ratio_csv(empirical_ratio(inst, params), inst, params))))
+
+
 def test_ratio_csv_row_shape():
     inst = generate(GenSpec("general", 5, seed=123))
-    params = PolicyParams.mg(UNBOUNDED, 1.0)
-    row = ratio_csv_row(empirical_ratio(inst, params), inst, params)
-    fields = row.split(",")
+    header, fields = _ratio_csv_rows(inst, PolicyParams.mg(UNBOUNDED, 1.0))
+    assert header == ["instance_id", "variant", "policy", "alpha", "beta", "opt_value", "alg_value", "ratio"]
     assert len(fields) == 8
     assert fields[0] == "123" and fields[1] == "general" and fields[2] == "mg" and fields[3] == "inf"
+
+
+def test_ratio_csv_reads_back_what_it_wrote():
+    # A comma or a quote in a meta field is quoted, numpy.float64 parameters
+    # are written as their floats, and a null seed as None.
+    packets = generate(GenSpec("general", 5, seed=123)).packets
+    params = PolicyParams.mg(numpy.float64(1.5), numpy.float64(1.5))
+    report = empirical_ratio(Instance(packets), params)
+    numbers = [repr(x) for x in report]
+    _, fields = _ratio_csv_rows(Instance(packets, {"seed": "a,b", "variant": 'x"y'}), params)
+    assert fields == ["a,b", 'x"y', "mg", "1.5", "1.5", *numbers]
+    _, fields = _ratio_csv_rows(Instance(packets, {"seed": None}), params)
+    assert fields == ["None", "", "mg", "1.5", "1.5", *numbers]
 
 
 # ---------------------------------------------------------------------------

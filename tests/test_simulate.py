@@ -3,16 +3,18 @@ step and rebuilds the optimal provisional schedule from scratch each time."""
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
+import pickle
 from random import Random
 
 import numpy
 import pytest
 from hypothesis import given
 
-from conftest import edf_reference, inst_of, mk, written_instances
+from conftest import edf_reference, inst_of, mk, packet_to_obj, sent_ids, written_instances
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound
 from mgsched.model import (
     ALL_VARIANTS,
@@ -22,7 +24,6 @@ from mgsched.model import (
     InvalidInstanceError,
     Packet,
     dumps_instance,
-    packet_to_obj,
 )
 from mgsched.offline import empirical_ratio, offline_optimal
 from mgsched.policies import (
@@ -141,7 +142,7 @@ def test_long_idle_gap_is_jumped(monkeypatch):
     trace = simulate(inst, PolicyParams.mg(PHI, PHI))
     assert trace.sends == (StepRecord(1, 0, 1.0, 1, 1.0), StepRecord(10**7, 1, 2.5, 1, 2.5))
     assert trace.sent_count == 2
-    assert trace.sent_ids == (0, 1)
+    assert sent_ids(trace) == (0, 1)
     assert trace.total_value == 3.5
     assert trace.dropped_expired == ()
     assert sends == [1, 10**7]  # one schedule step per send, none across the gap
@@ -164,6 +165,25 @@ def test_dump_trace_writes_idle_rows_of_a_gap():
     assert len(trace.steps) == 6 and trace.sent_count == 3
 
 
+def test_dump_trace_writes_the_same_bytes_once_sends_are_built():
+    # A fresh trace is written from its rows; once `sends` is built, by a read,
+    # a pickle round trip or a deep copy, it is written from the records.
+    def dumped(trace):
+        fp = io.StringIO()
+        dump_trace(trace, fp)
+        return fp.getvalue()
+
+    params = PolicyParams.mg(PHI, PHI)
+    gap = inst_of(mk(0, 1, 1, 1.0), mk(1, 1, 2, 1.5), mk(2, 6, 7, 2.0), mk(3, 6, 6, 0.5))
+    for inst in (gap, generate(GenSpec("general", 40, max_slack=3, seed=11))):
+        want = dumped(simulate(inst, params))
+        read = simulate(inst, params)
+        read.sends  # the first read builds the records
+        for trace in (read, pickle.loads(pickle.dumps(simulate(inst, params))), copy.deepcopy(simulate(inst, params))):
+            assert trace._log is None  # the rows are gone
+            assert dumped(trace) == want
+
+
 @given(written_instances)
 def test_each_trace_line_is_json_dumps_of_its_record(inst):
     trace = simulate(inst, PolicyParams.mg(PHI, PHI))
@@ -174,7 +194,7 @@ def test_each_trace_line_is_json_dumps_of_its_record(inst):
         "sentCount": trace.sent_count,
         "droppedCount": len(trace.dropped_expired),
     }
-    objs = [s._asdict() for s in trace.iter_steps()] + [{"summary": summary}]  # idle rows included
+    objs = [s._asdict() for s in trace.steps] + [{"summary": summary}]  # idle rows included
     assert fp.getvalue() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 
@@ -187,7 +207,7 @@ def _assert_lines_are_json_dumps(inst: Instance) -> None:
     fp = io.StringIO()
     dump_trace(trace, fp)
     summary = {"totalValue": trace.total_value, "sentCount": trace.sent_count, "droppedCount": 0}
-    objs = [s._asdict() for s in trace.iter_steps()] + [{"summary": summary}]
+    objs = [s._asdict() for s in trace.steps] + [{"summary": summary}]
     assert fp.getvalue() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 

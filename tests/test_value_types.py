@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import sent_ids
 from mgsched.analysis import ChainInstance, SweepCell, SweepReport, SweepRow
 from mgsched.generators import GenSpec, LowerBoundSpec, generate
-from mgsched.model import PHI, Instance, Packet, dumps_instance, loads_instance
+from mgsched.model import PHI, UNBOUNDED, Instance, Packet, dumps_instance, loads_instance
 from mgsched.offline import OffSchedule, offline_optimal
 from mgsched.policies import PolicyKind, PolicyParams, SimulationTrace, simulate
 
@@ -48,6 +49,10 @@ VALIDATED = {
             (PolicyKind.MG, 1.0, 1.5),
             ("mg", PHI, PHI),
             (PolicyKind.EDF_ALPHA, 2.0, 1.5),
+            # beta below 1, unbounded or NaN
+            (PolicyKind.MG, 2.0, 0.5),
+            (PolicyKind.MG, UNBOUNDED, UNBOUNDED),
+            (PolicyKind.MG, 2.0, math.nan),
             # ints past the float range, which simulate would divide and multiply by
             (PolicyKind.MG, 10**400, 1.0),
             (PolicyKind.MG, 10**400, 10**399),
@@ -191,7 +196,7 @@ def test_lazy_results_are_equal_before_and_after_the_first_read(cls):
         assert len(make()) == len(made) == len(values[0])
     else:
         assert make().sent_count == made.sent_count == len(values[0])
-        assert make().sent_ids == made.sent_ids and make().steps == made.steps
+        assert sent_ids(make()) == sent_ids(made) and make().steps == made.steps
 
 
 @pytest.mark.parametrize("cls", list(LAZY), ids=lambda c: c.__name__)
