@@ -1,59 +1,12 @@
-"""Bounded-delay packet scheduling: model, policies, optimum, experiments."""
+"""Bounded-delay packet scheduling: model, policies, optimum, experiments.
 
-from .analysis import (
-    ChainInstance,
-    SweepCell,
-    SweepReport,
-    chain_bound,
-    check_chain,
-    random_chain,
-    sweep,
-    table1_cells,
-)
-from .generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound, lb_ratio_formula
-from .model import (
-    PHI,
-    UNBOUNDED,
-    Instance,
-    Packet,
-    classify_variants,
-    dumps_instance,
-    load_instance,
-    loads_instance,
-    validate_instance,
-)
-from .offline import OffSchedule, RatioReport, empirical_ratio, offline_optimal
-from .policies import PolicyKind, PolicyParams, SimulationTrace, simulate
+Importing the package loads none of its modules; import the one you need:
 
-__all__ = [
-    "PHI",
-    "UNBOUNDED",
-    "ChainInstance",
-    "GenSpec",
-    "Instance",
-    "LowerBoundSpec",
-    "OffSchedule",
-    "Packet",
-    "PolicyKind",
-    "PolicyParams",
-    "RatioReport",
-    "SimulationTrace",
-    "SweepCell",
-    "SweepReport",
-    "chain_bound",
-    "check_chain",
-    "classify_variants",
-    "dumps_instance",
-    "empirical_ratio",
-    "generate",
-    "generate_lower_bound",
-    "lb_ratio_formula",
-    "load_instance",
-    "loads_instance",
-    "offline_optimal",
-    "random_chain",
-    "simulate",
-    "sweep",
-    "table1_cells",
-    "validate_instance",
-]
+- model: Packet, Instance, validation, the variant flags, the JSON-lines files.
+- generators: seeded random and variant instances, the adversarial family.
+- provisional: the optimal provisional schedule and its incremental form.
+- policies: MG and EDF_alpha, the simulator and its trace.
+- offline: the offline optimum and the competitive-ratio report.
+- analysis: charging-chain bounds and the seeded ratio sweep.
+- cli: the `mgsched` command.
+"""

@@ -159,8 +159,8 @@ def _load(path: str):
 
 
 def _cmd_run(args) -> int:
-    inst = _load(args.infile)
     params = _policy_from_args(args)
+    inst = _load(args.infile)
     trace = simulate(inst, params)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fp:
@@ -180,8 +180,8 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    inst = _load(args.infile)
     params = _policy_from_args(args)
+    inst = _load(args.infile)
     report = empirical_ratio(inst, params)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fp:

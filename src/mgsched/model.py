@@ -402,7 +402,7 @@ def load_instance(fp: IO[str]) -> Instance:
     meta: dict | None = None
     packets: list[Packet] = []
     for lineno, line in enumerate(fp, 1):
-        line = line.strip()
+        line = line.strip(" \t\n\r")  # JSON's whitespace; json.loads refuses any other
         if not line:
             continue
         try:

@@ -235,6 +235,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["chaincheck", "--trials", "0"]) == EXIT_USAGE
     assert main(["chaincheck", "--k-max", "0"]) == EXIT_USAGE
     capsys.readouterr()
+    # the policy flags are read before the file, so a bad one is reported and no file is opened
+    assert main(["run", "--in", "/nonexistent.jsonl", "--alpha", "nope"]) == EXIT_USAGE
+    assert "usage error: bad alpha/beta value: 'nope'" in capsys.readouterr().err
+    assert main(["ratio", "--in", "/nonexistent.jsonl", "--policy", "edf", "--alpha", "2", "--beta", "3"]) == EXIT_VALIDATION
+    assert "EDF_alpha has beta = 1, got beta=3.0" in capsys.readouterr().err
     for variants in ("all", "general"):  # table1_cells, and one cell per named variant
         assert main(["sweep", "--variants", variants, "--n", "0", "--trials", "1"]) == EXIT_VALIDATION
         assert "validation error: a sweep cell needs n >= 1 packets per trial, got n=0" in capsys.readouterr().err

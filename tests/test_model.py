@@ -235,7 +235,10 @@ def test_loader_keeps_an_integer_value_only_if_a_float_holds_it():
 
 
 def test_loader_reports_the_error_json_loads_gives():
-    for line in ('{"id": 0} 5', '{"a": 1}  {"b": 2}', '\ufeff{"a": 1}', "{not json", "1 2", '"a" x'):
+    for line in (
+        '{"id": 0} 5', '{"a": 1}  {"b": 2}', '\ufeff{"a": 1}', "{not json", "1 2", '"a" x',
+        '\xa0{"id": 0, "release": 1, "deadline": 2, "value": 1.0}', "\x1c",  # not JSON's whitespace
+    ):
         with pytest.raises(json.JSONDecodeError) as want:
             json.loads(line)
         with pytest.raises(ValueError) as got:

@@ -4,6 +4,7 @@ constructor refuses.  None of it depends on how a type is implemented."""
 
 from __future__ import annotations
 
+import ast
 import copy
 import math
 import os
@@ -223,10 +224,29 @@ def test_lazy_result_fields_cannot_be_assigned_before_or_after_the_first_read(cl
         assert [getattr(obj, name) for name in fields] == want
 
 
-def test_import_mgsched_leaves_dataclasses_out():
-    # Building dataclasses was a third of the start-up that every command pays.
-    code = "import sys; before = set(sys.modules); import mgsched; print(sorted(set(sys.modules) - before))"
+MODULES = ("model", "generators", "provisional", "policies", "offline", "analysis", "cli")
+
+
+def _modules_loaded_by(statement: str) -> set[str]:
+    """The modules that a fresh interpreter adds to sys.modules to run the statement."""
+    code = f"import sys; before = set(sys.modules); {statement}; print(sorted(set(sys.modules) - before))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert "'mgsched'" in out
-    assert "'dataclasses'" not in out
+    return set(ast.literal_eval(out))
+
+
+def test_import_mgsched_leaves_dataclasses_out():
+    # Building dataclasses was a third of the start-up that every command pays,
+    # and mgsched.cli loads every module a command runs.
+    loaded = _modules_loaded_by("import mgsched.cli")
+    assert {f"mgsched.{name}" for name in MODULES} <= loaded
+    assert "dataclasses" not in loaded
+
+
+def test_import_mgsched_loads_no_submodule():
+    # A caller pays for the modules it imports and no other.
+    assert _modules_loaded_by("import mgsched") == {"mgsched"}
+    loaded = _modules_loaded_by("import mgsched.generators")
+    assert {"mgsched.generators", "mgsched.model"} <= loaded
+    unused = {f"mgsched.{name}" for name in MODULES if name not in ("model", "generators")}
+    assert not loaded & (unused | {"hashlib"})
