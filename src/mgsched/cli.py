@@ -154,7 +154,7 @@ def _cmd_lb(args) -> int:
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8", newline="\n") as fp:  # CR is JSON whitespace, as loads_instance reads it
         return load_instance(fp)
 
 
@@ -175,7 +175,7 @@ def _cmd_opt(args) -> int:
     inst = _load(args.infile)
     schedule = offline_optimal(inst)
     print(f"optValue {schedule.total_value!r}")
-    print(f"assigned {len(schedule)} of {len(inst)}")
+    print(f"assigned {len(schedule.slots)} of {len(inst)}")
     return EXIT_OK
 
 

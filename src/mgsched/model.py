@@ -61,9 +61,7 @@ class Frozen:
     arguments, if it has rules, then sets the fields once through _init.
     Equality, hashing and repr go by the fields in that order, and assigning
     to a field raises AttributeError.  Pickling and copying call the
-    constructor again, so they refuse what it refuses.  A subclass that
-    builds a field on its first read names its public fields, in the
-    constructor's order, in _fields, and makes its results with _raw.
+    constructor again, so they refuse what it refuses.
     """
 
     __slots__ = ()
@@ -71,22 +69,13 @@ class Frozen:
     def __init_subclass__(cls):
         # The slots' own setters, which are faster than object.__setattr__.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-        if "_fields" not in cls.__dict__:
-            cls._fields = cls.__slots__
 
     def _init(self, *values) -> None:
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
-    @classmethod
-    def _raw(cls, *values):
-        """An object whose slots are set in order, past __init__."""
-        obj = cls.__new__(cls)
-        obj._init(*values)
-        return obj
-
     def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
@@ -100,7 +89,7 @@ class Frozen:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):

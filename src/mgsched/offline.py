@@ -38,38 +38,17 @@ import math
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .model import UNBOUNDED, Frozen, Instance, Packet, csv_text
+from .model import UNBOUNDED, Instance, Packet, csv_text
 from .policies import PolicyParams, simulate
 from .provisional import _priority
 
 
-class OffSchedule(Frozen):
-    """Slot assignment achieving the offline maximum total value:
-    `assignments`, the (packet id, slot) pairs by id, and `total_value`.
+class OffSchedule(NamedTuple):
+    """Slot assignment achieving the offline maximum total value: `slots`,
+    the solver's slot -> packet map, and `total_value`."""
 
-    The solvers keep their slot -> packet map, and `assignments` is sorted
-    from it on its first read, so a caller that reads only the value or the
-    length (as a ratio sweep does) sorts nothing.  Equality, hashing,
-    pickling and copying go by the two fields, as for the other value types.
-    """
-
-    __slots__ = ("_by_slot", "_assignments", "total_value")
-    _fields = ("assignments", "total_value")
-
-    def __init__(self, assignments: tuple[tuple[int, int], ...], total_value: float):
-        self._init(None, assignments, total_value)
-
-    @property
-    def assignments(self) -> tuple[tuple[int, int], ...]:
-        if self._assignments is None:
-            _set_assignments(self, tuple(sorted((p.id, s) for s, p in self._by_slot.items())))
-        return self._assignments
-
-    def __len__(self) -> int:
-        return len(self._assignments if self._by_slot is None else self._by_slot)
-
-
-_set_assignments = OffSchedule._setters[1]
+    slots: dict[int, Packet]
+    total_value: float
 
 
 class SizeLimitError(ValueError):
@@ -216,7 +195,7 @@ def offline_optimal(inst: Instance) -> OffSchedule:
     cap = inst.slot_cap()
     order = sorted(inst.packets, key=_priority)
     slots = _chain_shift(order, cap, _walk_budget(len(order)))
-    return OffSchedule._raw(slots, None, math.fsum(p.value for p in slots.values()))
+    return OffSchedule(slots, math.fsum(p.value for p in slots.values()))
 
 
 def brute_force_optimal(inst: Instance) -> OffSchedule:
@@ -235,7 +214,7 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
                 slots = _edf_slots(subset, cap)
                 if slots is not None:
                     best_value, best = value, slots
-    return OffSchedule._raw(best, None, best_value)
+    return OffSchedule(best, best_value)
 
 
 class RatioReport(NamedTuple):

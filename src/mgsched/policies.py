@@ -16,10 +16,11 @@ in the schedule's own per-deadline lists and picks what mg_select would.
 The simulator is event-driven: it keeps one IncrementalSchedule up to date
 through two events, insert for each arrival and step, which picks and sends
 one packet (and also moves the clock and expires what is due), and jumps
-over idle gaps by moving the empty schedule's time.  The trace stores only
+over idle gaps by moving the empty schedule's time.  The trace keeps only
 the steps that send, each as a plain row with its place in the schedule's
-value log; their StepRecords are built on the first read, and the idle rows
-are synthesized.  A sweep reads only a run's total value, so it builds none.
+value log, and builds their StepRecords, and the idle rows between them,
+only when they are read.  A sweep reads only a run's total value, so it
+builds none.
 """
 
 from __future__ import annotations
@@ -93,44 +94,37 @@ class StepRecord(NamedTuple):
     schedule_value: float
 
 
-class SimulationTrace(Frozen):
-    """A run's record: `sends`, the steps that sent a packet in time order;
+class SimulationTrace(NamedTuple):
+    """A run's record, as simulate made it: `rows`, one (t, packet, buffer
+    size, place in `changes`) per send in time order; `changes`, the
+    IncrementalSchedule's value log (both simulate's own lists, not copies);
     `total_value`; and `dropped_expired`, the ids of the packets that expired.
 
-    simulate keeps each send as a row (t, packet, buffer size, place in the
-    schedule's value log), and `sends` is built from the rows on its first
-    read, replaying the log once through provisional.values_at.  The total,
-    the counts and dump_trace need no build.  Equality, hashing, pickling
-    and copying go by the three fields, as for the other value types.
+    `sends` and `steps` are built from the rows on each read, replaying the
+    log once through provisional.values_at.  The total, the counts and
+    dump_trace need no build.
     """
 
-    __slots__ = ("_log", "_sends", "total_value", "dropped_expired")
-    _fields = ("sends", "total_value", "dropped_expired")
-
-    def __init__(self, sends: tuple[StepRecord, ...], total_value: float, dropped_expired: tuple[int, ...]):
-        self._init(None, sends, total_value, dropped_expired)
+    rows: list[tuple[int, Packet, int, int]]
+    changes: list[float]
+    total_value: float
+    dropped_expired: tuple[int, ...]
 
     def _replay(self) -> Iterator[tuple]:
-        """The fields of each send record, made one by one from the rows
-        until `sends` is built."""
-        if self._log is None:
-            yield from self._sends
-            return
-        rows, changes = self._log
-        for (t, p, size, _), value in zip(rows, values_at(changes, map(itemgetter(3), rows))):
+        """The fields of each send record, made one by one from the rows."""
+        rows = self.rows
+        for (t, p, size, _), value in zip(rows, values_at(self.changes, map(itemgetter(3), rows))):
             yield t, p.id, p.value, size, value
 
     @property
     def sends(self) -> tuple[StepRecord, ...]:
-        if self._log is not None:
-            _set_sends(self, tuple(starmap(StepRecord, self._replay())))
-            _set_log(self, None)
-        return self._sends
+        """The steps that sent a packet, in time order."""
+        return tuple(starmap(StepRecord, self._replay()))
 
     @property
     def steps(self) -> tuple[StepRecord, ...]:
         """Every step from t = 1 to the last send, with the steps between
-        sends synthesized as idle rows on each call."""
+        sends synthesized as idle rows."""
         steps = []
         t = 1
         for s in self.sends:
@@ -141,10 +135,7 @@ class SimulationTrace(Frozen):
 
     @property
     def sent_count(self) -> int:
-        return len(self._sends if self._log is None else self._log[0])
-
-
-_set_log, _set_sends = SimulationTrace._setters[:2]
+        return len(self.rows)
 
 
 def mg_select(heads: Sequence[Packet], params: PolicyParams) -> Packet:
@@ -216,7 +207,7 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
         t += 1
 
     total = math.fsum([row[1].value for row in rows])  # exactly rounded, as OPT's value is
-    return SimulationTrace._raw((rows, changes), None, total, tuple(dropped))
+    return SimulationTrace(rows, changes, total, tuple(dropped))
 
 
 def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
@@ -225,7 +216,7 @@ def dump_trace(trace: SimulationTrace, fp: IO[str]) -> None:
     Each line is json.dumps(obj, sort_keys=True) of its record, byte for byte;
     the step lines are formatted directly, which is several times faster than
     the encoder, and streamed from the trace's rows, so memory does not grow
-    with the trace and its `sends` tuple is not built.  Each distinct exact
+    with the trace and no StepRecord is built.  Each distinct exact
     float sent value is converted once, as dump_instance converts values;
     the schedule values seldom repeat and are converted on every line.
     """

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mgsched.analysis import ChainInstance
 from mgsched.model import UNBOUNDED, Instance, Packet
+from mgsched.offline import OffSchedule
 from mgsched.policies import SimulationTrace
 from mgsched.provisional import optimal_provisional_schedule
 
@@ -59,6 +60,11 @@ def packet_to_obj(p: Packet) -> dict:
 
 def sent_ids(trace: SimulationTrace) -> tuple[int, ...]:
     return tuple(s.sent_id for s in trace.sends)
+
+
+def assignments(schedule: OffSchedule) -> list[tuple[int, int]]:
+    """OPT's (packet id, slot) pairs, by id."""
+    return sorted((p.id, s) for s, p in schedule.slots.items())
 
 
 def extremal_chain(alpha: float, k: int) -> ChainInstance:

@@ -278,6 +278,33 @@ def test_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_reads_a_file_as_loads_instance_reads_its_text(tmp_path, capsys):
+    # A bare CR is JSON whitespace, so it splits no line; a CRLF file reads as
+    # its LF twin; a file with CR-only line endings is one line, and so invalid.
+    from mgsched.model import loads_instance
+
+    packets = (
+        '{"id": 0, "release": 1, "deadline": 2, "value": 1.0}',
+        '{"id": 1, "release": 1, "deadline": 3, "value": 2.0}',
+    )
+    for name, text, sent in (
+        ("cr.jsonl", '{"id": 0,\r "release": 1, "deadline": 2, "value": 1.0}\n', 1),
+        ("crlf.jsonl", '{"meta": {"seed": 1}}\r\n' + "\r\n".join(packets) + "\r\n", 2),
+        ("cr-only.jsonl", "\r".join(packets) + "\r", None),
+    ):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        capsys.readouterr()
+        if sent is None:
+            with pytest.raises(ValueError):
+                loads_instance(text)
+            assert main(["run", "--in", str(path)]) == EXIT_VALIDATION, name
+        else:
+            assert len(loads_instance(text)) == sent
+            assert main(["run", "--in", str(path)]) == EXIT_OK, name
+            assert f"sent {sent} dropped 0" in capsys.readouterr().out, name
+
+
 def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": 0, "release": 1, "deadline": 0, "value": 1.0}\n')

@@ -10,7 +10,7 @@ from random import Random
 import numpy
 import pytest
 
-from conftest import assignment_opt, inst_of, mk
+from conftest import assignment_opt, assignments, inst_of, mk
 from mgsched import offline
 from mgsched.analysis import derive_seed, table1_cells
 from mgsched.generators import GenSpec, LowerBoundSpec, generate, generate_lower_bound
@@ -35,7 +35,7 @@ def test_single_packet():
 def test_one_slot_keeps_larger():
     s = offline_optimal(inst_of(mk(0, 1, 1, 1.0), mk(1, 1, 1, 3.0)))
     assert s.total_value == 3.0
-    assert s.assignments == ((1, 1),)
+    assert assignments(s) == [(1, 1)]
 
 
 def test_three_packet_example_matches_oracle():
@@ -66,11 +66,11 @@ def test_assignments_respect_windows_and_distinct_slots():
         inst = Instance(packets)
         sched = offline_optimal(inst)
         by_id = {p.id: p for p in packets}
-        slots = [slot for _, slot in sched.assignments]
+        slots = [slot for _, slot in assignments(sched)]
         assert len(slots) == len(set(slots))
-        for pid, slot in sched.assignments:
+        for pid, slot in assignments(sched):
             assert by_id[pid].release <= slot <= by_id[pid].deadline
-        assert sched.total_value == sum(by_id[pid].value for pid, _ in sched.assignments)
+        assert sched.total_value == sum(by_id[pid].value for pid, _ in assignments(sched))
 
 
 def test_matching_equals_brute_force_on_random_instances():
@@ -237,11 +237,11 @@ def test_jump_walk_returns_a_valid_witness(jump_starts):
     sched = offline_optimal(inst)
     assert jump_starts  # so offline_optimal's chain shift switched to jumping
     by_id = {p.id: p for p in inst.packets}
-    slots = [slot for _, slot in sched.assignments]
+    slots = [slot for _, slot in assignments(sched)]
     assert len(slots) == len(set(slots)) == len(_shift(inst, JUMP))
-    for pid, slot in sched.assignments:
+    for pid, slot in assignments(sched):
         assert by_id[pid].release <= slot <= min(by_id[pid].deadline, inst.slot_cap())
-    assert sched.total_value == math.fsum(by_id[pid].value for pid, _ in sched.assignments)
+    assert sched.total_value == math.fsum(by_id[pid].value for pid, _ in assignments(sched))
 
 
 def test_chain_shift_gives_up_early_on_the_lower_bound_family(jump_starts):
@@ -283,7 +283,7 @@ def test_chain_shift_reproduces_the_chosen_sets_of_the_lower_bound_family():
     }
     for k, digest in want.items():
         sched = offline_optimal(generate_lower_bound(LowerBoundSpec(k, 1e-6)))
-        ids = ",".join(map(str, sorted(pid for pid, _ in sched.assignments)))
+        ids = ",".join(map(str, sorted(pid for pid, _ in assignments(sched))))
         assert hashlib.sha256(ids.encode()).hexdigest() == digest, k
 
 
@@ -305,7 +305,7 @@ def test_chain_shift_cost_follows_the_packets_not_the_release_span():
 
     near_sched, near_peak = solve(near)
     far_sched, far_peak = solve(far)
-    assert [pid for pid, _ in far_sched.assignments] == [pid for pid, _ in near_sched.assignments]
+    assert [pid for pid, _ in assignments(far_sched)] == [pid for pid, _ in assignments(near_sched)]
     assert far_sched.total_value == near_sched.total_value
     assert far_peak <= 2 * near_peak, (far_peak, near_peak)
 

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from conftest import edf_reference, heads_of, inst_of, mk, sent_ids, value_order_held
+from conftest import assignments, edf_reference, heads_of, inst_of, mk, sent_ids, value_order_held
 from mgsched.model import PHI, UNBOUNDED, Instance, Packet
 from mgsched.offline import brute_force_optimal
 from mgsched.policies import (
@@ -248,6 +248,6 @@ def test_slack_value_adversary_defeats_every_online_algorithm():
     assert [p for p in b.packets if p.release <= 3] == list(a.packets)
     opt_a, opt_b = brute_force_optimal(a), brute_force_optimal(b)
     assert (opt_a.total_value, opt_b.total_value) == (21.0, 23.0)
-    assert (2, 3) in opt_a.assignments and (3, 3) in opt_b.assignments
+    assert (2, 3) in assignments(opt_a) and (3, 3) in assignments(opt_b)
     for params, want in ((PolicyParams.mg(UNBOUNDED, 1.0), (21.0, 22.0)), (PolicyParams.mg(1.0, 1.0), (17.0, 23.0))):
         assert (simulate(a, params).total_value, simulate(b, params).total_value) == want
