@@ -56,6 +56,8 @@ class GenSpec(Frozen):
             raise ValueError("n must be >= 0")
         if max_slack < 0:
             raise ValueError("max_slack must be >= 0")
+        if seed < 0:  # Random(-s) seeds as Random(s) does: two metas, one instance
+            raise ValueError("seed must be >= 0")
         self._init(variant, n, max_slack, seed)
 
 
@@ -289,7 +291,11 @@ def lb_ratio_formula(k: int) -> float:
     generate_lower_bound(1) gives OPT/ALG = phi, against 1.5802 here, and at
     k = 8 it gives 1.9181, against 1.9376.
     """
+    if type(k) is not int:  # a bool is no count, though Python counts it as an int
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    x = (2.0 / PHI) ** k
+    # The formula rounds to 2.0, its limit, from k = 174 on; capping k keeps
+    # (2/phi)^k in the float range, which it leaves at k = 3350 (2x at 3346).
+    x = (2.0 / PHI) ** min(k, 1000)
     return (2.0 * x - PHI**2 / 2.0) / (x - 0.5)

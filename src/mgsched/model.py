@@ -246,10 +246,12 @@ def classify_variants(inst: Instance) -> dict[str, bool]:
     CONSTRAINED_VARIANTS order.
 
     UNBOUNDED deadlines (and the unbounded slacks they induce) compare as
-    larger than every bounded counterpart; ties satisfy both directions.
+    larger than every bounded counterpart; ties satisfy both directions.  The
+    fields are compared as they are, never as floats: Python orders int, float
+    and inf exactly, where ints past 2**53 would round together.
     """
     return {
-        name: _pairwise_monotone([(float(getattr(p, a)), float(getattr(p, b))) for p in inst.packets], increasing)
+        name: _pairwise_monotone([(getattr(p, a), getattr(p, b)) for p in inst.packets], increasing)
         for name, (a, b, increasing) in VARIANT_RULES.items()
     }
 

@@ -1,34 +1,35 @@
 """Offline optimum (OPT) and the competitive-ratio report.
 
 The optimum is a maximum-weight matching of packets to time slots: packet p
-may occupy any slot in [r_p, D_p], D_p = min(deadline, cap), where cap = max
-release plus packet count (slots past the cap never help).  The sets of
-packets that can all be sent form a matroid (a transversal matroid over a
-convex bipartite graph), so the optimum is the matroid greedy under the
-strict order (-value, deadline, id), whose chosen set is unique.
+may occupy any slot in its window [r_p, d_p].  The sets of packets that can
+all be sent form a matroid (a transversal matroid over a convex bipartite
+graph), so the optimum is the matroid greedy under the strict order
+(-value, deadline, id), whose chosen set is unique.
 
 One solver computes it, the chain shift (the augmenting walk of convex
 bipartite matching, Glover 1967).  Packets are inserted in greedy order into
 a deadline-ordered slot assignment; an insertion walks right from r_p,
 swapping the carried packet for any occupant with a later deadline, until a
 slot is free or the carried packet's window ends (then nothing changes and
-the packet is left out).  A walk never passes a free slot, so each occupied
-run of slots holds only packets released within it, and every slot a walk
-reaches lies on the ASAP timeline: the n slots used when every packet is
-sent as early as its release allows, deadlines ignored.
+the packet is left out).  A walk passes only occupied slots, fewer than i
+when the i-th packet is placed, so it ends within i slots of its release.
+So each occupied run of slots holds only packets released within it, and
+every slot a walk reaches lies on the ASAP timeline: the n slots used when
+every packet is sent as early as its release allows, deadlines ignored.
 
 The walk has two modes that place every packet on the same slot.  The plain
 walk steps slot by slot: cheap on short windows, O(n^2) in the worst case.
 The jump walk goes straight to the next slot that is free or holds a later
 deadline than the carried packet, found in a max tree of occupant deadlines
-over the timeline, so O(log n) a swap.  The chain shift starts plain and
-switches to jumping, keeping the assignment it has, once the slots walked
-past the releases of the first i packets in greedy order reach
-WALK_BUDGET * log2(n) * i.  Short windows, such as the ratio sweep's, stay
-on the plain walk, where jumping costs several times as much; long shift
-chains, such as the lower-bound family's, switch early, where the plain
-walk would step over millions of slots to swap at a few thousand.  An
-exhaustive oracle cross-checks the solver on small instances.
+over the timeline, so O(log n) a swap.  The chain shift starts plain; once
+the slots walked past the releases of the first i packets in greedy order
+reach WALK_BUDGET * log2(n) * i, it gives up and the jump walk solves the
+whole order from an empty tree, which re-places those i packets in
+O(i log n).  Short windows, such as the ratio sweep's, stay on the plain
+walk, where jumping costs several times as much; long shift chains, such as
+the lower-bound family's, switch early, where the plain walk would step
+over millions of slots to swap at a few thousand.  An exhaustive oracle
+cross-checks the solver on small instances.
 """
 
 from __future__ import annotations
@@ -59,25 +60,21 @@ class SizeLimitError(ValueError):
 WALK_BUDGET = 4
 
 
-def _walk_budget(n: int) -> float:
-    """The chain shift's walk allowance per packet read, WALK_BUDGET * log2(n)."""
-    return WALK_BUDGET * math.log2(max(n, 1))
-
-
-def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, Packet]:
+def _chain_shift(order: Sequence[Packet]) -> dict[int, Packet]:
     """Insert the packets of `order` one by one into a deadline-ordered slot
     assignment, shifting later-deadline occupants right; a packet with no
     augmenting placement is left out.  Returns slot -> packet.  The walk steps
     slot by slot until the slots walked past the releases of the first i
-    packets reach `budget` * i; _jump_walk then places the rest.  Budget inf
-    never jumps and budget 0 jumps from the second packet on."""
+    packets reach WALK_BUDGET * log2(n) * i; then _jump_walk solves the whole
+    order afresh."""
+    budget = WALK_BUDGET * math.log2(max(len(order), 1))
     slots: dict[int, Packet] = {}
     walked = 0
     for i, p in enumerate(order, 1):
         carry = p
         t = p.release
         trail: list[tuple[int, Packet]] = []
-        while t <= cap and t <= carry.deadline:
+        while t <= carry.deadline:
             occ = slots.get(t)
             if occ is None:
                 slots[t] = carry
@@ -92,19 +89,17 @@ def _chain_shift(order: Sequence[Packet], cap: int, budget: float) -> dict[int, 
                 slots[s] = old
         walked += t - p.release
         if walked >= budget * i and i < len(order):
-            return _jump_walk(order, i, slots)
+            return _jump_walk(order)
     return slots
 
 
-def _jump_walk(order: Sequence[Packet], start: int, slots: dict[int, Packet]) -> dict[int, Packet]:
-    """The chain shift of order[start:] onto `slots`, the assignment of the
-    packets before it, with each walk jumping straight to the next slot that
-    is free or holds a later deadline than the carried packet: a max tree of
-    occupant deadlines finds it in O(log n).  The tree's leaves are the n
-    slots of the ASAP timeline, every packet sent as early as its release
-    allows (deadlines ignored); see the module docstring for why every slot
-    a walk reaches lies on it.  The timeline ends before the slot cap, so
-    only a deadline ends a walk."""
+def _jump_walk(order: Sequence[Packet]) -> dict[int, Packet]:
+    """The chain shift of `order` from no slots taken, with each walk jumping
+    straight to the next slot that is free or holds a later deadline than the
+    carried packet: a max tree of occupant deadlines finds it in O(log n).
+    The tree's leaves are the n slots of the ASAP timeline, every packet sent
+    as early as its release allows (deadlines ignored); see the module
+    docstring for why every slot a walk reaches lies on it."""
     timeline = []
     t = 0
     for r in sorted(p.release for p in order):
@@ -116,17 +111,9 @@ def _jump_walk(order: Sequence[Packet], start: int, slots: dict[int, Packet]) ->
     # A leaf holds its occupant's deadline, `top` for UNBOUNDED (above every
     # bounded one) or top + 1 when the slot is free.
     top = max((p.deadline for p in order if p.deadline != UNBOUNDED), default=0) + 1
-    tree = [top + 1] * (2 * size)
+    tree = [top + 1] * (2 * size)  # all free: a valid max tree
     held: list[Packet | None] = [None] * size
-    for s, p in slots.items():
-        j = index[s]
-        held[j] = p
-        tree[size + j] = min(p.deadline, top)
-    level = size
-    while level > 1:
-        tree[level // 2 : level] = map(max, tree[level : 2 * level : 2], tree[level + 1 : 2 * level : 2])
-        level //= 2
-    for p in order[start:]:
+    for p in order:
         carry = p
         j = index[p.release]
         chain = []
@@ -167,9 +154,9 @@ def _jump_walk(order: Sequence[Packet], start: int, slots: dict[int, Packet]) ->
     return {timeline[j]: q for j, q in enumerate(held) if q is not None}
 
 
-def _edf_slots(packets: Sequence[Packet], cap: int) -> dict[int, Packet] | None:
+def _edf_slots(packets: Sequence[Packet]) -> dict[int, Packet] | None:
     """Earliest deadline first over the release timeline: slot -> packet for
-    every packet, or None when one would miss its deadline or the cap."""
+    every packet, or None when one would miss its deadline."""
     by_release = sorted(packets, key=lambda p: p.release)
     heap: list[tuple[float, int]] = []
     slots: dict[int, Packet] = {}
@@ -183,7 +170,7 @@ def _edf_slots(packets: Sequence[Packet], cap: int) -> dict[int, Packet] | None:
             heapq.heappush(heap, (by_release[i].deadline, i))
             i += 1
         d, j = heapq.heappop(heap)
-        if d < t or t > cap:
+        if d < t:
             return None
         slots[t] = by_release[j]
         t += 1
@@ -191,10 +178,8 @@ def _edf_slots(packets: Sequence[Packet], cap: int) -> dict[int, Packet] | None:
 
 
 def offline_optimal(inst: Instance) -> OffSchedule:
-    """Maximum-value packet-to-slot assignment within the capped horizon."""
-    cap = inst.slot_cap()
-    order = sorted(inst.packets, key=_priority)
-    slots = _chain_shift(order, cap, _walk_budget(len(order)))
+    """Maximum-value packet-to-slot assignment."""
+    slots = _chain_shift(sorted(inst.packets, key=_priority))
     return OffSchedule(slots, math.fsum(p.value for p in slots.values()))
 
 
@@ -203,7 +188,6 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
     witness slots are EDF over the best subset."""
     if len(inst.packets) > 10:  # it tries up to 2**n subsets
         raise SizeLimitError(f"brute force limited to 10 packets, got {len(inst.packets)}")
-    cap = inst.slot_cap()
     packets = inst.packets
     best_value = 0.0
     best: dict[int, Packet] = {}
@@ -211,7 +195,7 @@ def brute_force_optimal(inst: Instance) -> OffSchedule:
         for subset in combinations(packets, r):
             value = math.fsum(p.value for p in subset)
             if value > best_value:
-                slots = _edf_slots(subset, cap)
+                slots = _edf_slots(subset)
                 if slots is not None:
                     best_value, best = value, slots
     return OffSchedule(best, best_value)

@@ -231,6 +231,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["gen", "--badflag"]) == EXIT_USAGE
     assert main(["run", "--in", "/nonexistent/path.jsonl"]) == EXIT_IO
     assert main(["gen", "--variant", "general", "--n", "-3", "--out", "/tmp/x.jsonl"]) == EXIT_VALIDATION
+    # Random(-3) seeds as Random(3) does, so a negative seed is refused before any file is written
+    assert main(["gen", "--n", "5", "--seed", "-3", "--out", str(tmp_path / "neg.jsonl")]) == EXIT_VALIDATION
+    assert "seed must be >= 0" in capsys.readouterr().err and not (tmp_path / "neg.jsonl").exists()
+    # a slack past the float range is generated and classified exactly
+    assert main(["gen", "--n", "3", "--max-slack", str(10**400), "--out", str(tmp_path / "wide.jsonl")]) == EXIT_OK
+    assert "variant flags:" in capsys.readouterr().out
     assert main(["ratio", "--in", "/nonexistent.jsonl"]) == EXIT_IO
     assert main(["chaincheck", "--trials", "0"]) == EXIT_USAGE
     assert main(["chaincheck", "--k-max", "0"]) == EXIT_USAGE

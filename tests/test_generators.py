@@ -199,11 +199,17 @@ def test_lb_ratio_grows_toward_two():
 
 def test_lb_formula_near_two_for_large_k():
     assert abs(lb_ratio_formula(60) - 2.0) < 1e-6
+    # the limit, correctly rounded, also where 2 (2/phi)^k and then (2/phi)^k leave the float range
+    for k in (3346, 3349, 3350, 5000, 10**6):
+        assert lb_ratio_formula(k) == 2.0, k
 
 
 def test_lb_formula_refuses_k_below_one():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
+            lb_ratio_formula(k)
+    for k in (True, 2.5):  # as LowerBoundSpec refuses them: a bool is no count
+        with pytest.raises(ValueError, match="k must be an int"):
             lb_ratio_formula(k)
 
 

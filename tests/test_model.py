@@ -139,7 +139,8 @@ _packet_lists = st.lists(
         Packet,
         id=st.integers(0, 10**6),
         release=st.integers(1, 12),
-        deadline=st.one_of(st.integers(1, 20), st.just(UNBOUNDED)),
+        # Deadlines past 2**53, which round together as floats, and past the float range.
+        deadline=st.one_of(st.integers(1, 20), st.just(UNBOUNDED), st.integers(2**53, 2**53 + 3), st.just(10**400)),
         value=st.integers(1, 64).map(lambda m: m / 8.0),
     ),
     max_size=7,

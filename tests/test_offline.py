@@ -19,6 +19,7 @@ from mgsched.offline import (
     RatioReport,
     SizeLimitError,
     _chain_shift,
+    _jump_walk,
     brute_force_optimal,
     empirical_ratio,
     offline_optimal,
@@ -152,34 +153,63 @@ def test_ratio_csv_reads_back_what_it_wrote():
 
 # ---------------------------------------------------------------------------
 # The chain shift's two walk modes, which place every packet on the same slot:
-# the plain walk (budget inf, never jumps) and the jump walk (budget 0, which
-# jumps from the second packet on).  "Both solvers" below are these two modes.
+# the plain walk (the chain shift with a budget that never trips) and the jump
+# walk (_jump_walk on the whole order).  "Both solvers" below are these two.
 
-PLAIN, JUMP = math.inf, 0
+
+def _plain_walk(order: list[Packet]) -> dict[int, Packet]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(offline, "WALK_BUDGET", math.inf)
+        return _chain_shift(order)
+
+
+PLAIN, JUMP = _plain_walk, _jump_walk
 
 
 def _order(inst: Instance) -> list[Packet]:
     return sorted(inst.packets, key=_priority)
 
 
-def _shift(inst: Instance, budget: float) -> dict[int, Packet]:
-    return _chain_shift(_order(inst), inst.slot_cap(), budget)
+def _shift(inst: Instance, solver) -> dict[int, Packet]:
+    return solver(_order(inst))
 
 
-def _value(inst: Instance, budget: float) -> float:
-    return math.fsum(p.value for p in _shift(inst, budget).values())
+def _value(inst: Instance, solver) -> float:
+    return math.fsum(p.value for p in _shift(inst, solver).values())
+
+
+def _within_reach(inst: Instance, slots: dict[int, Packet]) -> bool:
+    """Every slot lies in its packet's window and before max release + n, the
+    end of the last busy period: why no solver needs a horizon cap."""
+    last = inst.max_release + len(inst) - 1
+    return all(p.release <= t <= min(p.deadline, last) for t, p in slots.items())
+
+
+class _Counted(list):
+    """A greedy order that counts the packets read from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for p in super().__iter__():
+            self.read += 1
+            yield p
 
 
 @pytest.fixture
 def jump_starts(monkeypatch) -> list[int]:
-    """The packets the plain walk placed before each switch to jumping."""
+    """The packets the plain walk read before each switch to jumping."""
     starts: list[int] = []
-    jump = offline._jump_walk
+    shift, jump = offline._chain_shift, offline._jump_walk
 
-    def spy(order, start, slots):
-        starts.append(start)
-        return jump(order, start, slots)
+    def counted_shift(order):
+        return shift(_Counted(order))
 
+    def spy(order):
+        starts.append(order.read)
+        return jump(order)
+
+    monkeypatch.setattr(offline, "_chain_shift", counted_shift)
     monkeypatch.setattr(offline, "_jump_walk", spy)
     return starts
 
@@ -223,10 +253,15 @@ def test_both_solvers_choose_the_same_set():
     # equal values: the strict (-value, deadline, id) order alone decides
     tied = Instance(tuple(Packet(i, 1 + i % 3, 1 + i % 3 + i % 5, 1.0) for i in range(12)))
     assert _shift(tied, PLAIN) == _shift(tied, JUMP)
-    # unbounded deadlines and bounded ones past the cap, which swap only with each other
+    # unbounded deadlines and bounded ones past max release + n, which swap only with each other
     far = Instance(tuple(Packet(i, 1 + i % 4, (UNBOUNDED, 10**6 + i % 3, 2 + i % 4)[i % 3], 1.0 + i % 2)
                          for i in range(30)))
     assert _shift(far, PLAIN) == _shift(far, JUMP)
+    # and every slot any solver uses lies within reach, with no cap to stop it
+    few = Instance(far.packets[:10])  # the brute force tries up to 2**n subsets
+    for inst in (far, few):
+        assert _within_reach(inst, _shift(inst, PLAIN)) and _within_reach(inst, _shift(inst, JUMP))
+    assert _within_reach(few, brute_force_optimal(few).slots)
     for k in range(1, 9):
         inst = generate_lower_bound(LowerBoundSpec(k, 1e-6))
         assert _shift(inst, PLAIN) == _shift(inst, JUMP), k
@@ -239,8 +274,7 @@ def test_jump_walk_returns_a_valid_witness(jump_starts):
     by_id = {p.id: p for p in inst.packets}
     slots = [slot for _, slot in assignments(sched)]
     assert len(slots) == len(set(slots)) == len(_shift(inst, JUMP))
-    for pid, slot in assignments(sched):
-        assert by_id[pid].release <= slot <= min(by_id[pid].deadline, inst.slot_cap())
+    assert _within_reach(inst, sched.slots)
     assert sched.total_value == math.fsum(by_id[pid].value for pid, _ in assignments(sched))
 
 

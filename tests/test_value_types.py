@@ -39,7 +39,8 @@ VALIDATED = {
     GenSpec: (
         ("variant", "n", "max_slack", "seed"),
         ("general", 5, 2, 3),
-        [("bogus", 5, 2, 3), ("general", -1, 2, 3), ("general", 5, -1, 3), ("general", 2.0, 2, 3)],
+        [("bogus", 5, 2, 3), ("general", -1, 2, 3), ("general", 5, -1, 3), ("general", 2.0, 2, 3),
+         ("general", 5, 2, -3)],
     ),
     LowerBoundSpec: (("k", "epsilon"), (3, 1e-6), [(0, 1e-6), (3, 0.5), (True, 1e-6)]),
     PolicyParams: (
