@@ -47,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_alpha(text: str) -> float:
-    """Accept inf/phi/phi2 symbolically to avoid user-side precision drift."""
+    """Accept inf/phi/phi2 symbolically to avoid user-side precision drift.
+    inf, infinity and unbounded are the only ways to write UNBOUNDED: a
+    number past the float range, which float() would round to an infinity,
+    is refused."""
     lowered = text.strip().lower()
     if lowered in ("inf", "infinity", "unbounded"):
         return UNBOUNDED
@@ -56,9 +59,12 @@ def parse_alpha(text: str) -> float:
     if lowered == "phi2":
         return PHI**2
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise _UsageError(f"bad alpha/beta value: {text!r}") from exc
+    if value in (UNBOUNDED, -UNBOUNDED):
+        raise _UsageError(f"bad alpha/beta value: {text!r} is past the float range")
+    return value
 
 
 POLICY_CHOICES = ("mg", "edf", "greedy")  # greedy is MG(1, 1)

@@ -182,17 +182,20 @@ def validate_instance(packets: Iterable[Packet]) -> list[Violation]:
             violations.append(Violation(pid, "non-integer-release", f"release {release!r} not an integer"))
         elif release < 1:
             violations.append(Violation(pid, "release-before-one", f"release {release} < 1"))
-        try:  # a bool is no value either: the writer would print it as true
-            positive = (
-                type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-            )
-        except OverflowError:  # an int past the float range, maybe too long to print
-            violations.append(Violation(pid, "value-overflow", "value is an integer past the float range"))
+        if type(value) is float and 0.0 < value < UNBOUNDED:  # nearly every value: skip the general test
+            values.append(value)
         else:
-            if positive:
-                values.append(value)
+            try:  # a bool is no value either: the writer would print it as true
+                positive = (
+                    type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+                )
+            except OverflowError:  # an int past the float range, maybe too long to print
+                violations.append(Violation(pid, "value-overflow", "value is an integer past the float range"))
             else:
-                violations.append(Violation(pid, "non-positive-value", f"value {value} not a positive finite real"))
+                if positive:
+                    values.append(value)
+                else:
+                    violations.append(Violation(pid, "non-positive-value", f"value {value} not a positive finite real"))
         if type(deadline) is int:  # nearly every deadline: skip the slower tests
             number = True
         elif deadline == UNBOUNDED:
@@ -387,7 +390,8 @@ def load_instance(fp: IO[str]) -> Instance:
     No object may repeat a key.  A line in dump_instance's packet form becomes
     a packet through its pattern; every other line goes through one decode of
     a JSONDecoder made once per load, which reads it and fails on it as
-    json.loads does, and either way the result is the same."""
+    json.loads does, and either way the result is the same.  A line nested
+    too deeply for the decoder also raises ValueError, never RecursionError."""
     written = re.compile(_WRITTEN_PACKET).fullmatch  # re caches it; importing compiles nothing
     decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
     meta: dict | None = None
@@ -417,6 +421,8 @@ def load_instance(fp: IO[str]) -> Instance:
                 packets.append(packet_from_obj(obj))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError(f"line {lineno}: JSON nested too deeply to read") from None
     return Instance(tuple(packets), meta)
 
 

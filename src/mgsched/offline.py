@@ -66,27 +66,33 @@ def _chain_shift(order: Sequence[Packet]) -> dict[int, Packet]:
     augmenting placement is left out.  Returns slot -> packet.  The walk steps
     slot by slot until the slots walked past the releases of the first i
     packets reach WALK_BUDGET * log2(n) * i; then _jump_walk solves the whole
-    order afresh."""
+    order afresh.  About two walks in three of the ratio sweep swap nothing,
+    so a walk builds its undo trail only at its first swap, and it keeps the carried packet's
+    deadline in a local rather than reading it at every slot."""
     budget = WALK_BUDGET * math.log2(max(len(order), 1))
     slots: dict[int, Packet] = {}
     walked = 0
     for i, p in enumerate(order, 1):
-        carry = p
+        carry, d = p, p.deadline  # the carried packet and its deadline
         t = p.release
-        trail: list[tuple[int, Packet]] = []
-        while t <= carry.deadline:
+        trail = None  # the swaps made, as (slot, occupant), from the first one on
+        while t <= d:
             occ = slots.get(t)
             if occ is None:
                 slots[t] = carry
                 break
-            if occ.deadline > carry.deadline:
-                trail.append((t, occ))
+            if occ.deadline > d:
+                if trail is None:
+                    trail = [(t, occ)]
+                else:
+                    trail.append((t, occ))
                 slots[t] = carry
-                carry = occ
+                carry, d = occ, occ.deadline
             t += 1
         else:  # no free slot: undo the shifts
-            for s, old in trail:
-                slots[s] = old
+            if trail is not None:
+                for s, old in trail:
+                    slots[s] = old
         walked += t - p.release
         if walked >= budget * i and i < len(order):
             return _jump_walk(order)

@@ -180,7 +180,11 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
     """
     arrivals: dict[int, list[Packet]] = {}
     for p in inst.packets:
-        arrivals.setdefault(p.release, []).append(p)
+        group = arrivals.get(p.release)
+        if group is None:  # setdefault would build a list for every packet
+            arrivals[p.release] = [p]
+        else:
+            group.append(p)
     releases = sorted(arrivals, reverse=True)  # the next release is last
 
     schedule = IncrementalSchedule(1)
@@ -203,7 +207,8 @@ def simulate(inst: Instance, params: PolicyParams) -> SimulationTrace:
         size, at = schedule.pending_count, len(changes)
         chosen, expired = step(alpha, beta, scheduled_heads)
         rows.append((t, chosen, size, at))
-        dropped.extend(expired)
+        if expired:
+            dropped.extend(expired)
         t += 1
 
     total = math.fsum([row[1].value for row in rows])  # exactly rounded, as OPT's value is

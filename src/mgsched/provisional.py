@@ -220,23 +220,33 @@ class IncrementalSchedule:
           would have been full of packets outranking r when the greedy
           rejected r, and e, due by D and taken later, would be rejected
           too.  So MG's threshold, above v_e, skips no head it would send.
+        Most steps skip most of that work, and three guards say where:
+        - with alpha UNBOUNDED, v_h / alpha is 0.0 and e is always sent, so
+          the top head is not read at all;
+        - the scan for a tight deadline runs only when as many packets are
+          scheduled as the first pending deadline has slots, since no
+          deadline is tight with fewer;
+        - when no deadline is due, the step returns an empty expired list
+          without a loop or a sort.
         The buffer must not be empty.
         """
         dl, entries, counts = self._deadlines, self._entries, self._counts
-        top = -min(entries)[0][0]  # ids differ, so no comparison reaches a packet
         j = 0
         if scheduled_heads:
             while not counts[j]:
                 j += 1
-        e = entries[j][0][2]
-        h_over_alpha = top / alpha  # 0.0 for alpha UNBOUNDED
-        if e.value < h_over_alpha:
-            threshold = max(h_over_alpha, beta * e.value)
-            for j in range(j + 1, len(entries)):
-                if entries[j][0][2].value >= threshold:
-                    break
-            else:  # alpha >= beta guarantees the top head qualifies
-                raise AssertionError("no qualifying packet; alpha/beta invariant broken")
+        # With alpha UNBOUNDED, h / alpha is 0.0 and e is sent: the top head
+        # is read only when alpha is finite.
+        if alpha < UNBOUNDED:
+            h_over_alpha = -min(entries)[0][0] / alpha  # ids differ, so no comparison reaches a packet
+            e_value = entries[j][0][2].value
+            if e_value < h_over_alpha:
+                threshold = max(h_over_alpha, beta * e_value)
+                for j in range(j + 1, len(entries)):
+                    if entries[j][0][2].value >= threshold:
+                        break
+                else:  # alpha >= beta guarantees the top head qualifies
+                    raise AssertionError("no qualifying packet; alpha/beta invariant broken")
         group = entries[j]
         key, _, chosen = group.pop(0)
         self.pending_count -= 1
@@ -248,21 +258,27 @@ class IncrementalSchedule:
         if not group:
             del dl[j], entries[j], counts[j]
         # A rejected head's lost slot `time` acts as a top packet due then,
-        # so a tight deadline anywhere counts; a scheduled head's only below it.
-        first, last = self._tight(0, j if scheduled else len(dl))
-        if scheduled and first is not None and self._scheduled < self.pending_count:
-            best = self._best_rejected_after(last)
-            if best is not None:
-                self.changes.append(entries[best][counts[best]][2].value)
-                counts[best] += 1
-                self._scheduled += 1
-        if first is not None:
-            self._reject_lowest_through(first)
-        self.time += 1
+        # so a tight deadline anywhere counts; a scheduled head's only below
+        # it.  No deadline is tight while fewer packets are scheduled than
+        # the first has slots, so then _tight is not called.
+        hi = j if scheduled else len(dl)
+        if hi and self._scheduled >= dl[0] - self.time + 1:
+            first, last = self._tight(0, hi)
+            if first is not None:
+                if scheduled and self._scheduled < self.pending_count:
+                    best = self._best_rejected_after(last)
+                    if best is not None:
+                        self.changes.append(entries[best][counts[best]][2].value)
+                        counts[best] += 1
+                        self._scheduled += 1
+                self._reject_lowest_through(first)
+        time = self.time = self.time + 1
+        if not dl or dl[0] >= time:  # nothing is due: the common step
+            return chosen, []
         # Every scheduled deadline is now >= time, so only rejected packets
         # expire, whole deadlines at a time, and the scheduled count stays.
         expired: list[int] = []
-        while dl and dl[0] < self.time:
+        while dl and dl[0] < time:
             del dl[0], counts[0]
             expired.extend(e[1] for e in entries.pop(0))
         self.pending_count -= len(expired)
@@ -271,13 +287,12 @@ class IncrementalSchedule:
 
     def _tight(self, lo: int, hi: int) -> tuple[int | None, int]:
         """Indices of the first and the last tight deadline in [lo, hi), or
-        (None, -1) if there is none."""
-        dl, limit = self._deadlines, self.time - 1
+        (None, -1) if there is none.  Each caller first checks that enough
+        packets are scheduled for some deadline in range to be tight."""
+        limit = self.time - 1
         first, last = None, -1
-        if hi <= lo or self._scheduled < dl[0] - limit:  # too few packets to fill any
-            return first, last
         used = 0
-        for k, d, n in zip(range(hi), dl, self._counts):
+        for k, d, n in zip(range(hi), self._deadlines, self._counts):
             used += n
             if used == d - limit and k >= lo:  # never for UNBOUNDED
                 if first is None:
@@ -290,7 +305,7 @@ class IncrementalSchedule:
         to j: the last scheduled packet of some deadline."""
         # The lowest has the highest -value; on a tie, the later deadline.
         lowest, worst = -1, None
-        for k, (group, n) in enumerate(zip(self._entries[: j + 1], self._counts)):
+        for k, group, n in zip(range(j + 1), self._entries, self._counts):
             if n and (worst is None or group[n - 1][0] >= worst):
                 lowest, worst = k, group[n - 1][0]
         self._counts[lowest] -= 1

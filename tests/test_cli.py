@@ -17,6 +17,7 @@ def test_parse_alpha_symbolic():
     assert parse_alpha("phi") == PHI
     assert parse_alpha("phi2") == PHI**2
     assert parse_alpha("1.25") == 1.25
+    assert parse_alpha("1.7976931348623157e308") == 1.7976931348623157e308
 
 
 def test_cli_import_loads_no_process_pool():
@@ -277,6 +278,18 @@ def test_exit_codes(tmp_path, capsys):
         assert "alpha must be >= 1, got nan" in capsys.readouterr().err
     assert main(["chaincheck", "--alpha", "nan", "--trials", "1"]) == EXIT_USAGE
     assert "finite alpha > 1" in capsys.readouterr().err
+    # a literal past the float range is no way to write inf: it is refused, never run as MG(inf, 1)
+    for args in (
+        ["run", "--in", str(inst), "--alpha", "1e400"],
+        ["run", "--in", str(inst), "--alpha=-1e400"],
+        ["ratio", "--in", str(inst), "--alpha", "2", "--beta", "1e999"],
+        ["sweep", "--policy", "mg", "--alpha", "1e400", "--trials", "1"],
+    ):
+        assert main(args) == EXIT_USAGE, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error: bad alpha/beta value" in captured.err, args
+    assert main(["run", "--in", str(inst), "--alpha", "inf"]) == EXIT_OK
+    assert "policy mg(alpha=inf, beta=1.0)" in capsys.readouterr().out
     # phi^(k+1) is past the float range: no epsilon fits, and nothing is written
     out = tmp_path / "lb.jsonl"
     assert main(["lb", "--k", "1500", "--out", str(out)]) == EXIT_VALIDATION
@@ -354,6 +367,25 @@ def test_validation_exit_on_bad_instance_file(tmp_path, capsys):
         assert main([command, "--in", str(bad)]) == EXIT_VALIDATION, command
         err = capsys.readouterr().err
         assert "validation error" in err and "value-sum-overflow" in err, err
+
+
+def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys):
+    # The decoder recurses once per level, so a line nested past the
+    # interpreter's depth must end in exit 3 and name its line, not a traceback.
+    good = '{"id": 0, "release": 1, "deadline": 3, "value": 1.0}\n'
+    depth = 200_000
+    bad = tmp_path / "deep.jsonl"
+    for text, lineno in (
+        (good + "[" * depth + "]" * depth + "\n", 2),
+        ('{"meta": ' + '{"a": ' * depth + "1" + "}" * depth + "}\n" + good, 1),
+    ):
+        bad.write_text(text)
+        for command in ("run", "opt", "ratio"):
+            capsys.readouterr()
+            assert main([command, "--in", str(bad)]) == EXIT_VALIDATION, (command, lineno)
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert captured.err == f"validation error: line {lineno}: JSON nested too deeply to read\n", captured.err
 
 
 def test_sweep_rejects_zero_trials(capsys):
