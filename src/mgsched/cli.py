@@ -3,6 +3,12 @@
 Every command is a pure function of its flags (plus output paths), so reruns
 reproduce byte-identical artifacts.  Exit codes: 0 ok, 1 usage, 2 I/O,
 3 validation.
+
+A command builds only its own argument parser, so a run pays for one
+command's flags, not all seven.  `mgsched --help`, no command, an unknown
+one or an option before the command get every command's parser, so each
+text that lists the commands is the same.  The help's description is the
+two paragraphs above this one.
 """
 
 from __future__ import annotations
@@ -86,57 +92,12 @@ def _add_policy_flags(sub) -> None:
     sub.add_argument("--beta", default="1", help="float, or phi / phi2")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="mgsched", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("gen", help="generate a random instance file")
+def _gen_flags(gen) -> None:
     gen.add_argument("--variant", choices=list(ALL_VARIANTS), default="general")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--max-slack", type=int, default=8)
     gen.add_argument("--out", required=True)
-
-    lb = subs.add_parser("lb", help="generate the adversarial lower-bound family")
-    lb.add_argument("--k", type=int, required=True)
-    lb.add_argument("--epsilon", type=float, default=1e-6)
-    lb.add_argument("--out", required=True)
-
-    run = subs.add_parser("run", help="simulate one policy over an instance file")
-    run.add_argument("--in", dest="infile", required=True)
-    _add_policy_flags(run)
-    run.add_argument("--trace-out", default=None)
-
-    opt = subs.add_parser("opt", help="offline optimal value of an instance file")
-    opt.add_argument("--in", dest="infile", required=True)
-
-    ratio = subs.add_parser("ratio", help="OPT / policy value for an instance file")
-    ratio.add_argument("--in", dest="infile", required=True)
-    _add_policy_flags(ratio)
-    ratio.add_argument("--csv-out", default=None)
-
-    sw = subs.add_parser("sweep", help="seeded generate/simulate/ratio grid")
-    sw.add_argument("--variants", default="all", help="'all' or comma-separated variant names")
-    sw.add_argument("--trials", type=int, default=1000)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--n", type=int, default=40)
-    sw.add_argument("--max-slack", type=int, default=8)
-    # With none of these three, the sweep runs the table-1 cells; otherwise
-    # every cell runs the one policy they give, alpha defaulting to phi and
-    # beta to phi (1 for edf).
-    sw.add_argument("--policy", choices=POLICY_CHOICES, default=None)
-    sw.add_argument("--alpha", default=None, help="float, or inf / phi / phi2 (default phi)")
-    sw.add_argument("--beta", default=None, help="float, or phi / phi2 (default phi; 1 for edf)")
-    sw.add_argument("--jobs", type=int, default=1)
-    sw.add_argument("--csv-out", default=None)
-
-    chain = subs.add_parser("chaincheck", help="random charging-chain property run")
-    chain.add_argument("--alpha", default="phi2")
-    chain.add_argument("--trials", type=int, default=100000)
-    chain.add_argument("--k-max", type=int, default=12)
-    chain.add_argument("--seed", type=int, default=0)
-
-    return parser
 
 
 def _cmd_gen(args) -> int:
@@ -148,6 +109,12 @@ def _cmd_gen(args) -> int:
     print(f"wrote {len(inst)} packets to {args.out}")
     print(f"variant flags: {on}")
     return EXIT_OK
+
+
+def _lb_flags(lb) -> None:
+    lb.add_argument("--k", type=int, required=True)
+    lb.add_argument("--epsilon", type=float, default=1e-6)
+    lb.add_argument("--out", required=True)
 
 
 def _cmd_lb(args) -> int:
@@ -164,6 +131,12 @@ def _load(path: str):
         return load_instance(fp)
 
 
+def _run_flags(run) -> None:
+    run.add_argument("--in", dest="infile", required=True)
+    _add_policy_flags(run)
+    run.add_argument("--trace-out", default=None)
+
+
 def _cmd_run(args) -> int:
     params = _policy_from_args(args)
     inst = _load(args.infile)
@@ -177,12 +150,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _opt_flags(opt) -> None:
+    opt.add_argument("--in", dest="infile", required=True)
+
+
 def _cmd_opt(args) -> int:
     inst = _load(args.infile)
     schedule = offline_optimal(inst)
     print(f"optValue {schedule.total_value!r}")
     print(f"assigned {len(schedule.slots)} of {len(inst)}")
     return EXIT_OK
+
+
+def _ratio_flags(ratio) -> None:
+    ratio.add_argument("--in", dest="infile", required=True)
+    _add_policy_flags(ratio)
+    ratio.add_argument("--csv-out", default=None)
 
 
 def _cmd_ratio(args) -> int:
@@ -196,6 +179,22 @@ def _cmd_ratio(args) -> int:
     print(f"algValue {report.alg_value!r}")
     print(f"ratio {report.ratio!r}")
     return EXIT_OK
+
+
+def _sweep_flags(sw) -> None:
+    sw.add_argument("--variants", default="all", help="'all' or comma-separated variant names")
+    sw.add_argument("--trials", type=int, default=1000)
+    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--n", type=int, default=40)
+    sw.add_argument("--max-slack", type=int, default=8)
+    # With none of these three, the sweep runs the table-1 cells; otherwise
+    # every cell runs the one policy they give, alpha defaulting to phi and
+    # beta to phi (1 for edf).
+    sw.add_argument("--policy", choices=POLICY_CHOICES, default=None)
+    sw.add_argument("--alpha", default=None, help="float, or inf / phi / phi2 (default phi)")
+    sw.add_argument("--beta", default=None, help="float, or phi / phi2 (default phi; 1 for edf)")
+    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--csv-out", default=None)
 
 
 def _cmd_sweep(args) -> int:
@@ -228,6 +227,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _chaincheck_flags(chain) -> None:
+    chain.add_argument("--alpha", default="phi2")
+    chain.add_argument("--trials", type=int, default=100000)
+    chain.add_argument("--k-max", type=int, default=12)
+    chain.add_argument("--seed", type=int, default=0)
+
+
 def _cmd_chaincheck(args) -> int:
     alpha = parse_alpha(args.alpha)
     if not 1 < alpha < UNBOUNDED:  # NaN fails too
@@ -246,22 +252,35 @@ def _cmd_chaincheck(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VALIDATION
 
 
+#: Each command's help line, flag adder and handler, in the order help lists them.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "lb": _cmd_lb,
-    "run": _cmd_run,
-    "opt": _cmd_opt,
-    "ratio": _cmd_ratio,
-    "sweep": _cmd_sweep,
-    "chaincheck": _cmd_chaincheck,
+    "gen": ("generate a random instance file", _gen_flags, _cmd_gen),
+    "lb": ("generate the adversarial lower-bound family", _lb_flags, _cmd_lb),
+    "run": ("simulate one policy over an instance file", _run_flags, _cmd_run),
+    "opt": ("offline optimal value of an instance file", _opt_flags, _cmd_opt),
+    "ratio": ("OPT / policy value for an instance file", _ratio_flags, _cmd_ratio),
+    "sweep": ("seeded generate/simulate/ratio grid", _sweep_flags, _cmd_sweep),
+    "chaincheck": ("random charging-chain property run", _chaincheck_flags, _cmd_chaincheck),
 }
 
 
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of `command` alone."""
+    parser = _Parser(prog="mgsched", description="\n\n".join((__doc__ or "").split("\n\n")[:2]))
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        if command is None or command == name:
+            add_flags(subs.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

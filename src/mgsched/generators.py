@@ -38,6 +38,10 @@ _GRID_STEP = (_VALUE_HI - _VALUE_LO) / VALUE_GRID_STEPS
 
 _GetRandBits = Callable[[int], int]
 
+#: The largest lower-bound family LowerBoundSpec accepts, in packets: k = 21
+#: gives 12 582 449, and each k past it about doubles the count.
+LB_MAX_PACKETS = 2**24
+
 
 class GenSpec(Frozen):
     """Parameters of one seeded random instance."""
@@ -189,6 +193,9 @@ class LowerBoundSpec(Frozen):
             bound = 0.0
         if not 0 < epsilon < bound:
             raise ValueError(f"epsilon must lie in (0, 1/(10*phi^(k+1))) = (0, {bound:.3e})")
+        size = lower_bound_size(k)  # k < 1474 here, so counting is cheap
+        if size > LB_MAX_PACKETS:
+            raise ValueError(f"the family at k={k} has {size} packets; at most {LB_MAX_PACKETS} are built")
         self._init(k, epsilon)
 
 
@@ -200,6 +207,18 @@ def _stage_lengths(k: int) -> list[int]:
     for i in range(2, k):
         lengths.append(2 ** (k + 1 - i) - k + i)
     return lengths
+
+
+def lower_bound_size(k: int) -> int:
+    """Packets in generate_lower_bound's family at stage count k, counted
+    without building them: three per stage step, the two of the flourish
+    step, and one per wind-down step."""
+    lengths = _stage_lengths(k)
+    if not lengths:
+        return 2
+    ends = list(accumulate(lengths))  # S_i
+    last_mid_deadline = max(end + length for end, length in zip(ends, lengths))
+    return 3 * ends[-1] + 2 + max(0, last_mid_deadline - ends[-1] - 1)
 
 
 def generate_lower_bound(spec: LowerBoundSpec) -> Instance:
@@ -295,7 +314,9 @@ def lb_ratio_formula(k: int) -> float:
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    # The formula rounds to 2.0, its limit, from k = 174 on; capping k keeps
-    # (2/phi)^k in the float range, which it leaves at k = 3350 (2x at 3346).
+    # (2x - phi^2/2) / (x - 1/2), written as 2 minus a term that shrinks as x
+    # grows, so that the rounded result never decreases in k: it reads 2.0,
+    # its limit, from k = 168 on.  Capping k keeps (2/phi)^k in the float
+    # range, which it leaves at k = 3350 (2x at 3346).
     x = (2.0 / PHI) ** min(k, 1000)
-    return (2.0 * x - PHI**2 / 2.0) / (x - 0.5)
+    return 2.0 - (PHI**2 / 2.0 - 1.0) / (x - 0.5)

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mgsched.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_alpha
-from mgsched.model import PHI, UNBOUNDED
+from conftest import written_instances
+from mgsched import cli
+from mgsched.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _UsageError, build_parser, main, parse_alpha
+from mgsched.model import PHI, UNBOUNDED, dumps_instance
 
 
 def test_parse_alpha_symbolic():
@@ -27,6 +34,47 @@ def test_cli_import_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+#: An argv of each command that sets every flag it has.
+EVERY_FLAG = {
+    "gen": ["--variant", "agreeable-deadline", "--n", "5", "--seed", "3", "--max-slack", "4", "--out", "g.jsonl"],
+    "lb": ["--k", "4", "--epsilon", "1e-7", "--out", "lb.jsonl"],
+    "run": ["--in", "g.jsonl", "--policy", "edf", "--alpha", "phi", "--beta", "1", "--trace-out", "t.jsonl"],
+    "opt": ["--in", "g.jsonl"],
+    "ratio": ["--in", "g.jsonl", "--policy", "greedy", "--alpha", "2", "--beta", "phi2", "--csv-out", "r.csv"],
+    "sweep": ["--variants", "general", "--trials", "3", "--seed", "2", "--n", "7", "--max-slack", "3", "--policy",
+              "mg", "--alpha", "2", "--beta", "phi", "--jobs", "2", "--csv-out", "s.csv"],
+    "chaincheck": ["--alpha", "2", "--trials", "5", "--k-max", "3", "--seed", "1"],
+}
+
+
+def test_a_command_alone_parses_as_the_full_parser_does():
+    assert list(EVERY_FLAG) == list(cli._COMMANDS)
+    full = build_parser()
+    for name, flags in EVERY_FLAG.items():
+        pairs = list(zip(flags[::2], flags[1::2]))
+        required = [text for pair in pairs if pair[0] in ("--n", "--out", "--k", "--in") for text in pair]
+        for argv in ([name, *flags], [name, *required]):  # each flag set, and each default
+            assert build_parser(name).parse_args(argv) == full.parse_args(argv), argv
+        for other in EVERY_FLAG:  # no other command is registered
+            if other != name:
+                with pytest.raises(_UsageError, match=f"invalid choice: '{other}'"):
+                    build_parser(name).parse_args([other, *EVERY_FLAG[other]])
+
+
+def test_main_builds_the_parser_of_the_command_it_is_given(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    for argv in (["opt", "--in", "/nonexistent.jsonl"], [], ["bogus"], ["--alpha", "2", "run"], ["-x", "opt"]):
+        main(argv)
+    assert built == ["opt", None, None, None, None]
+    monkeypatch.setattr(sys, "argv", ["mgsched", "chaincheck", "--trials", "0"])
+    assert main() == EXIT_USAGE  # the argv of the process, as the installed script passes it
+    assert built[-1] == "chaincheck"
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built[-1] is None and "{gen,lb,run,opt,ratio,sweep,chaincheck}" in capsys.readouterr().out
 
 
 def test_gen_writes_instance_and_flags(tmp_path, capsys):
@@ -295,6 +343,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["lb", "--k", "1500", "--out", str(out)]) == EXIT_VALIDATION
     assert "validation error: epsilon must lie in" in capsys.readouterr().err
     assert not out.exists()
+    # an epsilon fits k = 30, but the family would have 6 442 450 013 packets: refused before it is built
+    assert main(["lb", "--k", "30", "--epsilon", "1e-8", "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "validation error: the family at k=30 has 6442450013 packets" in captured.err
+    assert not out.exists()
 
 
 def test_run_reads_a_file_as_loads_instance_reads_its_text(tmp_path, capsys):
@@ -386,6 +439,60 @@ def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == "", command
             assert captured.err == f"validation error: line {lineno}: JSON nested too deeply to read\n", captured.err
+
+
+# A JSON string, punctuation, or any other run of characters, such as a
+# number or a literal; and a key with a value that is no object or array.
+_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|[{}\[\]:,]|[^\s"{}\[\]:,]+')
+_PAIR = re.compile(r'"\w+": (?:"(?:[^"\\\n]|\\.)*"|[^\s"{}\[\]:,]+)')
+
+
+@st.composite
+def mutated_instance_files(draw) -> str:
+    """A written instance's text after one to three mutations: two tokens
+    swapped, a line cut short, a control character put in, or a key repeated."""
+    text = dumps_instance(draw(written_instances))
+    for kind in draw(st.lists(st.sampled_from(("swap", "cut", "control", "repeat")), min_size=1, max_size=3)):
+        if kind == "swap":
+            tokens = list(_TOKEN.finditer(text))
+            if len(tokens) < 2:
+                continue
+            i, j = sorted(draw(st.lists(st.integers(0, len(tokens) - 1), min_size=2, max_size=2, unique=True)))
+            a, b = tokens[i], tokens[j]
+            text = text[: a.start()] + b.group() + text[a.end() : b.start()] + a.group() + text[b.end() :]
+        elif kind == "cut":
+            lines = text.split("\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = lines[k][: draw(st.integers(0, len(lines[k])))]
+            text = "\n".join(lines)
+        elif kind == "control":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + chr(draw(st.sampled_from([*range(32), 127]))) + text[at:]
+        else:
+            pairs = list(_PAIR.finditer(text))
+            if pairs:
+                pair = draw(st.sampled_from(pairs))
+                text = text[: pair.end()] + ", " + pair.group() + text[pair.end() :]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "mutated.jsonl"
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_instance_files())
+def test_a_mutated_instance_file_runs_or_is_a_validation_error(fuzz_file, text):
+    fuzz_file.write_bytes(text.encode("utf-8"))
+    for command in ("run", "opt", "ratio"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--in", str(fuzz_file)])
+        assert code in (EXIT_OK, EXIT_VALIDATION), (command, text, err.getvalue())
+        if code == EXIT_VALIDATION:
+            assert out.getvalue() == "", (command, text)
+            assert err.getvalue().startswith("validation error:"), (command, text, err.getvalue())
 
 
 def test_sweep_rejects_zero_trials(capsys):

@@ -16,6 +16,7 @@ from mgsched.generators import (
     generate,
     generate_lower_bound,
     lb_ratio_formula,
+    lower_bound_size,
 )
 from mgsched.model import (
     ALL_VARIANTS,
@@ -162,6 +163,16 @@ def test_lb_spec_validation():
     LowerBoundSpec(5, epsilon=1e-6)
 
 
+def test_lb_size_counts_the_family_without_building_it():
+    for k in range(1, 13):
+        assert lower_bound_size(k) == len(generate_lower_bound(LowerBoundSpec(k))), k
+    assert [lower_bound_size(k) for k in (14, 21, 22, 30)] == [98_093, 12_582_449, 25_165_317, 6_442_450_013]
+    LowerBoundSpec(21, epsilon=1e-8)  # the largest family under 2**24 packets
+    for k in (22, 30):  # refused before a packet is made
+        with pytest.raises(ValueError, match=f"the family at k={k} has {lower_bound_size(k)} packets"):
+            LowerBoundSpec(k, epsilon=1e-8)
+
+
 def _h_only(inst, trace) -> bool:
     by_id = {p.id: p for p in inst.packets}
     return all(by_id[i].deadline == UNBOUNDED for i in sent_ids(trace))
@@ -217,3 +228,6 @@ def test_lb_formula_in_unit_band_and_increasing():
     values = [lb_ratio_formula(k) for k in range(1, 61)]
     assert all(1.0 < v < 2.0 for v in values)
     assert all(a < b for a, b in zip(values, values[1:]))
+    # rounding never makes it step back, also where it nears 2.0
+    values = [lb_ratio_formula(k) for k in range(1, 4001)]
+    assert all(a <= b for a, b in zip(values, values[1:]))

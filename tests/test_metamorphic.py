@@ -2,11 +2,13 @@
 with no oracle: moving every window in time and relabelling the ids in order
 change nothing but the times and the ids, scaling every value by a power of
 two changes nothing but the values, and deleting a packet that OPT leaves out
-changes nothing that OPT chooses."""
+changes nothing that OPT chooses.  Deleting a packet OPT chooses, or adding
+one, changes OPT's chosen set by at most that packet and one exchange."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -126,3 +128,53 @@ def test_deleting_a_packet_opt_leaves_out_keeps_the_chosen_set(inst, pick):
     smaller_total, smaller_slots = _opt_ids(_rebuilt_without(inst, gone))
     assert set(smaller_slots.values()) == chosen
     assert smaller_total.hex() == total.hex()
+
+
+def _exact_value(inst: Instance, ids) -> Fraction:
+    by_id = {p.id: p for p in inst.packets}
+    return sum((Fraction(by_id[pid].value) for pid in ids), Fraction(0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances, st.integers(0, 2**32 - 1))
+def test_deleting_a_chosen_packet_exchanges_at_most_one_packet(inst, pick):
+    # Matroid basis exchange: without p, the greedy's basis is B - p, or
+    # B - p + q for a q that ranks after p, so OPT loses between 0 and v_p.
+    total, slots = _opt_ids(inst)
+    chosen = set(slots.values())
+    assume(chosen)
+    gone = next(p for p in inst.packets if p.id == sorted(chosen)[pick % len(chosen)])
+    smaller = _rebuilt_without(inst, gone)
+    smaller_total, smaller_slots = _opt_ids(smaller)
+    after = set(smaller_slots.values())
+    assert chosen - after == {gone.id}
+    swapped_in = after - chosen
+    assert len(swapped_in) <= 1
+    assert all(_exact_value(inst, [q]) <= Fraction(gone.value) for q in swapped_in)
+    assert _exact_value(inst, chosen) - Fraction(gone.value) <= _exact_value(smaller, after)
+    assert smaller_total <= total  # fsum rounds each exact sum, and rounding keeps their order
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances, st.data())
+def test_adding_a_packet_exchanges_at_most_one_packet(inst, data):
+    # The greedy's basis with p added is B, B + p, or B + p - q for a q that
+    # ranks after p.  A drawn value repeats one of the instance's half the
+    # time, so that ties fall to the deadline and id order.
+    values = [p.value for p in inst.packets]
+    release = data.draw(st.integers(1, inst.max_release + 2))
+    slack = data.draw(st.none() | st.integers(0, 8))
+    value = data.draw(st.sampled_from(values) if values and data.draw(st.booleans()) else st.floats(0.5, 64.0))
+    added = Packet(max((p.id for p in inst.packets), default=-1) + 1, release,
+                   UNBOUNDED if slack is None else release + slack, value)
+    total, slots = _opt_ids(inst)
+    chosen = set(slots.values())
+    larger_total, larger_slots = _opt_ids(Instance(inst.packets + (added,), inst.meta))
+    after = set(larger_slots.values())
+    assert after - chosen <= {added.id}
+    dropped = chosen - after
+    assert len(dropped) <= 1
+    if dropped:
+        assert added.id in after
+        assert all(_exact_value(inst, [q]) <= Fraction(added.value) for q in dropped)
+    assert larger_total >= total
